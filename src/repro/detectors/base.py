@@ -115,3 +115,9 @@ class ObjectTracker(Protocol):
     ) -> list[TrackedDetection]:
         """All tracked observations of ``label`` inside one clip."""
         ...
+
+    def track_scores_in_clip(
+        self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView
+    ) -> list[float]:
+        """The scores of :meth:`tracks_in_clip`, at the same charge."""
+        ...

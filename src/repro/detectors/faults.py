@@ -201,12 +201,14 @@ class FaultInjector:
         unit: object,
         call: Callable[[], Any],
         stale_call: Callable[[], Any] | None = None,
+        corrupt: bool = True,
     ) -> Any:
         """Run one wrapped invocation under the profile.
 
         ``stale_call`` produces the stuck-output payload (the previous
         unit's answer); when unavailable the stuck mode degrades to a
         clean call — stale data needs a past to be stale relative to.
+        ``corrupt=False`` turns the NaN mode into a clean call too.
         """
         mode = self._roll(method, video_id, label, unit)
         if mode == "transient":
@@ -222,7 +224,7 @@ class FaultInjector:
         if mode == "stuck" and stale_call is not None:
             return stale_call()
         value = call()
-        if mode == "nan":
+        if mode == "nan" and corrupt:
             return self._corrupt(value, video_id, label, unit)
         return value
 
@@ -305,33 +307,27 @@ class FaultyActionRecognizer(FaultInjector):
 
 
 class FaultyTracker(FaultInjector):
-    """Fault-injecting proxy over an object tracker (NaN mode does not
-    apply to track lists; such draws fall through to clean calls)."""
+    """Fault-injecting proxy over an object tracker (NaN draws fall through
+    to clean calls).  Both per-clip views roll the ``tracks_in_clip`` key,
+    so a profile fails the same clips whichever view a caller reads."""
 
     def tracks_in_clip(self, video: Any, truth: Any, label: str, clip: Any) -> Any:
+        return self._per_clip(self._inner.tracks_in_clip, video, truth, label, clip)
+
+    def track_scores_in_clip(self, video: Any, truth: Any, label: str, clip: Any) -> Any:
+        return self._per_clip(self._inner.track_scores_in_clip, video, truth, label, clip)
+
+    def _per_clip(self, method: Any, video: Any, truth: Any, label: str, clip: Any) -> Any:
+        from repro.video.model import ClipView
+
         clip_id = clip.clip_id
-
-        def stale() -> Any:
-            from repro.video.model import ClipView
-
-            return self._inner.tracks_in_clip(
-                video, truth, label, ClipView(video, clip_id - 1)
-            )
-
-        mode = self._roll("tracks_in_clip", video.video_id, label, clip_id)
-        if mode == "transient":
-            raise TransientModelError(
-                f"{self._inner.name}: transient failure "
-                f"(tracks_in_clip on {video.video_id!r}/{label}/{clip_id})"
-            )
-        if mode == "timeout":
-            raise ModelTimeoutError(
-                f"{self._inner.name}: call deadline exceeded "
-                f"(tracks_in_clip on {video.video_id!r}/{label}/{clip_id})"
-            )
-        if mode == "stuck" and clip_id > 0:
-            return stale()
-        return self._inner.tracks_in_clip(video, truth, label, clip)
+        prev = ClipView(video, clip_id - 1) if clip_id > 0 else None
+        return self._apply(
+            "tracks_in_clip", video.video_id, label, clip_id,
+            lambda: method(video, truth, label, clip),
+            stale_call=None if prev is None else lambda: method(video, truth, label, prev),
+            corrupt=False,
+        )
 
 
 def faulty_zoo(zoo: ModelZoo, profile: FaultProfile | str) -> ModelZoo:

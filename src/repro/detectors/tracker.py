@@ -6,7 +6,9 @@ should outscore a clip with one car for 10 frames.  The simulated tracker
 assigns a stable track id to every ground-truth object instance episode,
 fires per frame with the tracker profile's TPR (plus occasional spurious
 short tracks at the FPR), and occasionally *switches ids* mid-episode the
-way real trackers lose and re-acquire targets.
+way real trackers lose and re-acquire targets.  Observations are synthesised
+once per ``(video, label)`` into frame-sorted columns with array ops, so a
+per-clip call is a slice.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from repro.detectors.profiles import DetectorProfile
 from repro.errors import DetectorError
 from repro.utils.rng import derive_rng
 from repro.video.model import ClipView, VideoMeta
+
+
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]
 
 
 class SimulatedTracker:
@@ -50,8 +55,8 @@ class SimulatedTracker:
         self._vocabulary = vocabulary
         self._cost = cost_meter
         self._id_switch_rate = id_switch_rate
-        # (video_id, label) -> (frame -> list of (track_id, score))
-        self._cache: dict[tuple[str, str], dict[int, list[tuple[int, float]]]] = {}
+        #: (video_id, label, frames_per_clip) -> columns, clip row bounds
+        self._cache: dict[tuple[str, str, int], _Columns] = {}
 
     @property
     def name(self) -> str:
@@ -78,30 +83,38 @@ class SimulatedTracker:
     ) -> list[TrackedDetection]:
         """All tracked observations of ``label`` inside one clip, ordered by
         frame then track id; charges one inference per clip frame."""
+        frame, track_id, score = self._clip_rows(video, truth, label, clip)
+        return [
+            TrackedDetection(label=label, frame=f, track_id=t, score=s)
+            for f, t, s in zip(frame.tolist(), track_id.tolist(), score.tolist())
+        ]
+
+    def track_scores_in_clip(
+        self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView
+    ) -> list[float]:
+        """The scores of :meth:`tracks_in_clip`, in its order and at its
+        charge, without building the records."""
+        return self._clip_rows(video, truth, label, clip)[2].tolist()
+
+    def _clip_rows(
+        self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not self.supports(label):
             raise DetectorError(
                 f"label {label!r} outside the vocabulary of {self.name}"
             )
-        by_frame = self._observations(video, truth, label)
-        frames = clip.frames
+        frame, track_id, score, bounds = self._columns(video, truth, label)
         if self._cost is not None:
-            self._cost.record(self.name, len(frames), self._profile.ms_per_unit)
-        result: list[TrackedDetection] = []
-        for frame in range(frames.start, frames.end + 1):
-            for track_id, score in by_frame.get(frame, ()):
-                result.append(
-                    TrackedDetection(
-                        label=label, frame=frame, track_id=track_id, score=score
-                    )
-                )
-        return result
+            self._cost.record(self.name, len(clip.frames), self._profile.ms_per_unit)
+        lo, hi = bounds[clip.clip_id], bounds[clip.clip_id + 1]
+        return frame[lo:hi], track_id[lo:hi], score[lo:hi]
 
     # -- synthesis ------------------------------------------------------------
 
-    def _observations(
+    def _columns(
         self, video: VideoMeta, truth: GroundTruth, label: str
-    ) -> dict[int, list[tuple[int, float]]]:
-        key = (video.video_id, label)
+    ) -> _Columns:
+        key = (video.video_id, label, video.geometry.frames_per_clip)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -109,7 +122,15 @@ class SimulatedTracker:
         accuracy = self._profile.accuracy_for(label)
         rng = derive_rng(self._seed, "tracker", self.name, video.video_id, label)
         n = video.usable_frames
-        by_frame: dict[int, list[tuple[int, float]]] = {}
+
+        def draw_scores(firing: np.ndarray, present: bool) -> np.ndarray:
+            return conditional_scores(
+                rng, firing, np.full(firing.size, present),
+                self._profile.threshold, self._profile.score_sharpness,
+            )
+
+        # (frame, track_id, score) column pieces, in draw order.
+        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
         next_track_id = 1
 
         for instance_spans in truth.object_instances(label):
@@ -119,64 +140,46 @@ class SimulatedTracker:
                 if end < start:
                     continue
                 length = end - start + 1
-                if accuracy.tpr >= 1.0:
-                    firing = np.ones(length, dtype=bool)
-                else:
-                    firing = alternating_indicator(
-                        rng, length, accuracy.tpr, accuracy.burst_on
-                    )
-                scores = conditional_scores(
-                    rng,
-                    firing,
-                    np.ones(length, dtype=bool),
-                    self._profile.threshold,
-                    self._profile.score_sharpness,
+                firing = alternating_indicator(
+                    rng, length, accuracy.tpr, accuracy.burst_on
                 )
-                track_id = next_track_id
-                next_track_id += 1
+                episode_scores = draw_scores(firing, True)
                 switch_at = -1
                 if length > 2 and rng.random() < self._id_switch_rate:
                     switch_at = int(rng.integers(1, length))
-                for offset in range(length):
-                    if offset == switch_at:
-                        track_id = next_track_id
-                        next_track_id += 1
-                    if firing[offset]:
-                        by_frame.setdefault(start + offset, []).append(
-                            (track_id, float(scores[offset]))
-                        )
+                offsets = np.flatnonzero(firing)
+                ids = np.full(offsets.size, next_track_id, dtype=np.int64)
+                next_track_id += 1
+                if switch_at >= 0:
+                    ids[offsets >= switch_at] = next_track_id
+                    next_track_id += 1
+                parts.append((start + offsets, ids, episode_scores[offsets]))
 
-        # Spurious short tracks at the false-positive rate, outside truth.
+        # Spurious short tracks at the false-positive rate, outside truth:
+        # every run of consecutive alarm frames is one fresh track.
         if accuracy.fpr > 0.0:
             alarms = alternating_indicator(rng, n, accuracy.fpr, accuracy.burst_off)
-            scores = conditional_scores(
-                rng,
-                alarms,
-                np.zeros(n, dtype=bool),
-                self._profile.threshold,
-                self._profile.score_sharpness,
-            )
-            in_alarm = False
-            for frame in range(n):
-                if alarms[frame]:
-                    if not in_alarm:
-                        track_id = next_track_id
-                        next_track_id += 1
-                        in_alarm = True
-                    by_frame.setdefault(frame, []).append(
-                        (track_id, float(scores[frame]))
-                    )
-                else:
-                    in_alarm = False
+            alarm_scores = draw_scores(alarms, False)
+            run_starts = alarms.copy()
+            run_starts[1:] &= ~alarms[:-1]
+            at = np.flatnonzero(alarms)
+            ids = next_track_id - 1 + np.cumsum(run_starts)[at]
+            parts.append((at, ids, alarm_scores[at]))
 
+        frame, track_id, score = (np.concatenate(c) for c in zip(*parts))
+
+        order = np.lexsort((track_id, frame))
         # Failure injection: nothing is trackable during a recording outage.
         if truth.outage_frames:
-            for frame in list(by_frame):
-                if frame in truth.outage_frames:
-                    del by_frame[frame]
-
-        self._cache[key] = by_frame
-        return by_frame
+            outage = np.zeros(n, dtype=bool)
+            for span in truth.outage_frames:
+                outage[span.start : span.end + 1] = True
+            order = order[~outage[frame[order]]]
+        frame, track_id, score = frame[order], track_id[order], score[order]
+        starts = np.arange(video.n_clips + 1) * video.geometry.frames_per_clip
+        columns = (frame, track_id, score, np.searchsorted(frame, starts).tolist())
+        self._cache[key] = columns
+        return columns
 
     def cache_clear(self) -> None:
         self._cache.clear()

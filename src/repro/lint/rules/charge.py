@@ -30,6 +30,7 @@ INVOCATION_METHODS = frozenset(
         "score_shot",
         "score_video",
         "tracks_in_clip",
+        "track_scores_in_clip",
         "detect",
         "classify",
         "predict",

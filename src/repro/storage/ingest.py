@@ -7,10 +7,12 @@ models support:
 * **Clip score tables** — per label, the per-clip aggregate score under the
   scoring function ``h`` (Eq. 7 for objects via the tracker, Eq. 8 for
   actions via the recogniser), materialised score-ordered
-  (:class:`repro.storage.table.ClipScoreTable`).
+  (:class:`repro.storage.table.ClipScoreTable`); object tables read only
+  the tracker's per-clip scores (``track_scores_in_clip``).
 * **Individual sequences** — per label, the positive-clip runs ``P_o`` /
   ``P_a`` determined with SVAQD (Eqs. 1–2 under dynamically estimated
-  background probabilities), stored as clip-id interval sets.
+  background probabilities), stored as clip-id interval sets; all labels
+  share one SVAQD fleet per video (one stream pass, one detection cache).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.core.scoring import PaperScoring, ScoringScheme
-from repro.core.svaqd import SVAQD
+from repro.core.scheduler import MultiQueryScheduler
 from repro.detectors.cost import CostMeter
 from repro.detectors.retry import ensure_finite, invoke_with_retry
 from repro.detectors.zoo import ModelZoo
@@ -124,27 +126,20 @@ def ingest_video(
             raise
 
     object_tables: dict[str, ClipScoreTable] = {}
-    object_sequences: dict[str, IntervalSet] = {}
     for label in object_labels:
         rows = []
         for clip_id in meta.clip_ids():
-            tracked = _invoke(
-                lambda cid=clip_id: zoo.tracker.tracks_in_clip(
+            track_scores = _invoke(
+                lambda cid=clip_id: zoo.tracker.track_scores_in_clip(
                     meta, video.truth, label, ClipView(meta, cid)
                 ),
                 zoo.tracker.name,
                 f"tracker on {video.video_id}/{label}/clip {clip_id}",
             )
-            rows.append(
-                (clip_id, scoring.object_clip_score(t.score for t in tracked))
-            )
+            rows.append((clip_id, scoring.object_clip_score(track_scores)))
         object_tables[label] = ClipScoreTable(label, rows)
-        object_sequences[label] = _label_sequences(
-            video, zoo, Query(objects=[label]), config
-        )
 
     action_tables: dict[str, ClipScoreTable] = {}
-    action_sequences: dict[str, IntervalSet] = {}
     shots_per_clip = meta.geometry.shots_per_clip
     for label in action_labels:
         shot_scores = _invoke(
@@ -170,27 +165,26 @@ def ingest_video(
             zoo.recognizer.name, usable, zoo.recognizer.profile.ms_per_unit
         )
         action_tables[label] = ClipScoreTable(label, rows)
-        action_sequences[label] = _label_sequences(
-            video, zoo, Query(actions=[label]), config
-        )
+
+    # One single-label query per label; results keep registration order.
+    queries = [
+        *(Query(objects=[label]) for label in object_labels),
+        *(Query(actions=[label]) for label in action_labels),
+    ]
+    sequences: list[IntervalSet] = []
+    if queries:
+        run = MultiQueryScheduler(zoo, queries, config).run(video)
+        sequences = [result.sequences for result in run.results.values()]
 
     return VideoIngest(
         video_id=video.video_id,
         n_clips=meta.n_clips,
         object_tables=object_tables,
         action_tables=action_tables,
-        object_sequences=object_sequences,
-        action_sequences=action_sequences,
+        object_sequences=dict(zip(object_labels, sequences)),
+        action_sequences=dict(zip(action_labels, sequences[len(object_labels):])),
         ingest_cost_ms=zoo.cost_meter.ms() - cost_before,
     )
-
-
-def _label_sequences(
-    video: LabeledVideo, zoo: ModelZoo, query: Query, config: OnlineConfig
-) -> IntervalSet:
-    """Individual sequences for one label: SVAQD over the whole video."""
-    result = SVAQD(zoo, query, config).run(video)
-    return result.sequences
 
 
 IngestExecutor = Literal["serial", "thread", "process"]
@@ -324,7 +318,7 @@ def ingest_many(
       over per-worker zoo forks (overlaps the NumPy portions, which
       release the GIL);
     * ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`,
-      sidestepping the GIL for the pure-Python SVAQD sweeps; one zoo fork
+      sidestepping the GIL for the per-clip fleet stepping; one zoo fork
       ships to each worker via the pool initializer, so per-video task
       payloads carry only the video and label lists (each task then runs
       on a fresh fork of the worker zoo, keeping cost accounting

@@ -172,6 +172,43 @@ class TestFaultInjector:
                 saw_fault = True
         assert saw_fault and saw_ok
 
+    def test_tracker_scores_fail_on_the_same_clips(self):
+        """``track_scores_in_clip`` rolls the ``tracks_in_clip`` fault key,
+        so one profile fails, retries and serves stale data on the same
+        clips and attempts whichever view a caller reads."""
+        profile = FaultProfile(
+            name="t", transient_rate=0.3, timeout_rate=0.1, nan_rate=0.1,
+            stuck_rate=0.2, seed=5,
+        )
+        tracks = faulty_zoo(default_zoo(seed=1), profile).tracker
+        scores = faulty_zoo(default_zoo(seed=1), profile).tracker
+
+        def outcome(call):
+            try:
+                return call()
+            except ModelExecutionError as error:
+                return type(error)
+
+        failed = 0
+        for cid in range(20):
+            clip = ClipView(VIDEO.meta, cid)
+            for _ in range(3):  # retries roll the next attempt index
+                expected = outcome(lambda: tracks.tracks_in_clip(
+                    VIDEO.meta, VIDEO.truth, "person", clip
+                ))
+                got = outcome(lambda: scores.track_scores_in_clip(
+                    VIDEO.meta, VIDEO.truth, "person", clip
+                ))
+                if isinstance(expected, list):
+                    assert got == [t.score for t in expected]
+                else:
+                    failed += 1
+                    assert got is expected
+        assert failed > 0
+        assert scores.fault_counts == tracks.fault_counts
+        assert scores.fault_counts["stuck"] > 0
+        assert scores.fault_counts["nan"] > 0  # NaN draws serve clean scores
+
     def test_fault_counts_and_reset(self):
         zoo = faulty_zoo(default_zoo(seed=1), self.profile())
         for cid in range(30):

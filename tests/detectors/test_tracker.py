@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.detectors.profiles import CENTERTRACK, IDEAL_TRACKER, MASK_RCNN
+from repro.detectors.cost import CostMeter
+from repro.detectors.profiles import (
+    CENTERTRACK,
+    IDEAL_TRACKER,
+    MASK_RCNN,
+    DetectorProfile,
+    LabelAccuracy,
+)
 from repro.detectors.tracker import SimulatedTracker
 from repro.errors import DetectorError
-from repro.video.model import ClipView
+from repro.utils.intervals import Interval, IntervalSet
+from repro.video.ground_truth import GroundTruth
+from repro.video.model import ClipView, VideoGeometry, VideoMeta
 from tests.conftest import make_kitchen_video
+from tests.detectors.tracker_reference import ReferenceTracker
 
 VIDEO = make_kitchen_video(seed=13, duration_s=600.0, video_id="trackvid")
 
@@ -97,3 +109,91 @@ class TestTracking:
             tracker.tracks_in_clip(
                 VIDEO.meta, VIDEO.truth, "zebra", ClipView(VIDEO.meta, 0)
             )
+
+
+# -- differential test against the dict-of-lists oracle -----------------------
+
+LABEL = "thing"
+
+spans = st.tuples(st.integers(0, 299), st.integers(0, 60)).map(
+    lambda p: Interval(p[0], min(299, p[0] + p[1]))
+)
+
+
+@st.composite
+def scenes(draw):
+    """A small video whose ``LABEL`` has random instance episodes (some
+    overlapping, some past the usable frames), optional outages and a
+    random tracker profile, ideal included."""
+    geometry = VideoGeometry(
+        frames_per_shot=draw(st.integers(1, 6)),
+        shots_per_clip=draw(st.integers(1, 4)),
+    )
+    n_frames = draw(st.integers(geometry.frames_per_clip, 300))
+    meta = VideoMeta("scene", n_frames, geometry)
+    instances = tuple(
+        IntervalSet([iv for iv in ivs if iv.end < n_frames])
+        for ivs in draw(st.lists(st.lists(spans, max_size=4), max_size=4))
+    )
+    outages = IntervalSet(
+        [iv for iv in draw(st.lists(spans, max_size=2)) if iv.end < n_frames]
+    )
+    truth = GroundTruth(
+        n_frames=n_frames,
+        objects={LABEL: IntervalSet([iv for ivs in instances for iv in ivs])},
+        instances={LABEL: instances},
+        outage_frames=outages,
+    )
+    if draw(st.booleans()):
+        accuracy = IDEAL_TRACKER.default
+    else:
+        accuracy = LabelAccuracy(
+            tpr=draw(st.sampled_from([0.3, 0.8, 0.95, 1.0])),
+            fpr=draw(st.sampled_from([0.0, 0.02, 0.3])),
+            burst_on=draw(st.floats(1.0, 20.0)),
+            burst_off=draw(st.floats(1.0, 8.0)),
+        )
+    profile = DetectorProfile(
+        name="T", kind="tracker", default=accuracy, ms_per_unit=0.1
+    )
+    switch = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return meta, truth, profile, switch, draw(st.integers(0, 3))
+
+
+class TestColumnarMatchesReference:
+    @given(scenes(), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_identical_observations_sums_and_charges(self, scene, absent):
+        meta, truth, profile, switch, seed = scene
+        label = "absent" if absent else LABEL
+        columnar_meter, reference_meter = CostMeter(), CostMeter()
+        columnar = SimulatedTracker(
+            profile, seed=seed, cost_meter=columnar_meter, id_switch_rate=switch
+        )
+        reference = ReferenceTracker(
+            profile, seed=seed, cost_meter=reference_meter, id_switch_rate=switch
+        )
+        for clip_id in meta.clip_ids():
+            clip = ClipView(meta, clip_id)
+            expected = reference.tracks_in_clip(meta, truth, label, clip)
+            assert columnar.tracks_in_clip(meta, truth, label, clip) == expected
+            # A second reference call, so both meters see two charges.
+            expected_scores = [
+                t.score
+                for t in reference.tracks_in_clip(meta, truth, label, clip)
+            ]
+            scores = columnar.track_scores_in_clip(meta, truth, label, clip)
+            assert scores == expected_scores
+            assert float(sum(scores)).hex() == float(sum(expected_scores)).hex()
+        assert columnar_meter.units() == reference_meter.units()
+        assert columnar_meter.ms() == reference_meter.ms()
+
+    def test_kitchen_scene_matches_reference(self):
+        columnar = SimulatedTracker(CENTERTRACK, seed=3, id_switch_rate=0.5)
+        reference = ReferenceTracker(CENTERTRACK, seed=3, id_switch_rate=0.5)
+        for label in ("faucet", "person", "zebra"):
+            for clip_id in VIDEO.meta.clip_ids():
+                clip = ClipView(VIDEO.meta, clip_id)
+                assert columnar.tracks_in_clip(
+                    VIDEO.meta, VIDEO.truth, label, clip
+                ) == reference.tracks_in_clip(VIDEO.meta, VIDEO.truth, label, clip)

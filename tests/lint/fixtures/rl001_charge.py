@@ -11,6 +11,10 @@ def bad_generic_name(model, frame):
     return model.predict(frame)  # line 11: finding
 
 
+def bad_tracker_scores(zoo, meta, truth, clip):
+    return zoo.tracker.track_scores_in_clip(meta, truth, "car", clip)  # line 15: finding
+
+
 def good_wrapped(zoo, meta, truth):
     return invoke_with_retry(
         lambda: zoo.detector.score_video(meta, truth, "car"),
@@ -24,6 +28,12 @@ def _forward(call):
 
 def good_local_wrapper(zoo, meta, truth):
     return _forward(lambda: zoo.recognizer.score_shot(meta, truth, "jump", 0))
+
+
+def good_wrapped_tracker_scores(zoo, meta, truth, clip):
+    return _forward(
+        lambda: zoo.tracker.track_scores_in_clip(meta, truth, "car", clip)
+    )
 
 
 def good_pragma(zoo, meta, truth):

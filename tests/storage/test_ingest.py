@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import OnlineConfig
+from repro.core.query import Query
 from repro.core.scoring import MaxScoring
+from repro.core.svaqd import SVAQD
+from repro.detectors.faults import faulty_zoo
+from repro.detectors.zoo import default_zoo
 from repro.errors import IngestError
 from repro.storage.ingest import ingest_many, ingest_video
+from repro.video.model import ClipView
 from tests.conftest import make_kitchen_video
+from tests.detectors.tracker_reference import ReferenceTracker
 
 VIDEO = make_kitchen_video(seed=51, duration_s=240.0, video_id="ingvid")
 
@@ -77,6 +84,72 @@ class TestIngest:
         assert table.max_score <= 1.0
 
 
+class TestSequencesMatchStandaloneSVAQD:
+    """Ingest runs every label as one query of a shared fleet; each label's
+    sequences must equal a standalone single-label SVAQD run."""
+
+    OBJECTS = ["faucet", "person", "zebra"]
+    ACTIONS = ["washing dishes", "smoking"]
+
+    @pytest.mark.parametrize(
+        "config, faults",
+        [
+            (OnlineConfig(), "none"),
+            (OnlineConfig(cache_detections=False), "none"),
+            (OnlineConfig(retry_max_attempts=8), "flaky"),
+            (
+                OnlineConfig(cache_detections=False, retry_max_attempts=8),
+                "flaky",
+            ),
+        ],
+        ids=["default", "uncached", "flaky", "flaky-uncached"],
+    )
+    def test_sequences_equal_standalone_runs(self, config, faults):
+        ingest = ingest_video(
+            VIDEO, faulty_zoo(default_zoo(seed=8), faults),
+            self.OBJECTS, self.ACTIONS, config=config,
+        )
+        reference = faulty_zoo(default_zoo(seed=8), faults)
+        for query in (
+            *(Query(objects=[label]) for label in self.OBJECTS),
+            *(Query(actions=[label]) for label in self.ACTIONS),
+        ):
+            (label,) = query.all_labels
+            expected = SVAQD(reference, query, config).run(VIDEO).sequences
+            assert ingest.sequences_for(label) == expected, label
+        assert any(ingest.sequences_for(label) for label in ingest.labels)
+
+    def test_tables_and_meter_equal_the_per_label_path(self):
+        """Object tables equal the reference tracker's per-clip sums, and
+        the meter equals per-label table passes plus standalone runs."""
+        zoo = default_zoo(seed=8)
+        ingest = ingest_video(VIDEO, zoo, self.OBJECTS, self.ACTIONS)
+        reference = default_zoo(seed=8)
+        tracker = ReferenceTracker(
+            reference.tracker.profile, seed=8, cost_meter=reference.cost_meter
+        )
+        meta = VIDEO.meta
+        for label in self.OBJECTS:
+            expected = {
+                cid: float(sum(t.score for t in tracker.tracks_in_clip(
+                    meta, VIDEO.truth, label, ClipView(meta, cid)
+                )))
+                for cid in meta.clip_ids()
+            }
+            cids, scores = ingest.table_for(label).as_columns()
+            assert dict(zip(cids.tolist(), scores.tolist())) == expected
+            SVAQD(reference, Query(objects=[label])).run(VIDEO)
+        recognizer = reference.recognizer
+        for label in self.ACTIONS:
+            reference.cost_meter.record(
+                recognizer.name, meta.n_shots, recognizer.profile.ms_per_unit
+            )
+            SVAQD(reference, Query(actions=[label])).run(VIDEO)
+        assert ingest.ingest_cost_ms == reference.cost_meter.ms()
+        assert zoo.cost_meter.breakdown() == reference.cost_meter.breakdown()
+        assert zoo.cost_meter.units() == reference.cost_meter.units()
+
+
 class TestIngestMany:
     """Parallel ingestion: any executor, same results, same cost books."""
 
@@ -96,8 +169,8 @@ class TestIngestMany:
                     (ing.video_id, label, cids.tolist(), scores.tolist(),
                      ing.sequences_for(label).as_tuples())
                 )
-            rows.append((ing.video_id, round(ing.ingest_cost_ms, 9)))
-        rows.append((round(meter.ms(), 9), meter.units()))
+            rows.append((ing.video_id, ing.ingest_cost_ms))
+        rows.append((meter.ms(), meter.units()))
         return rows
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
