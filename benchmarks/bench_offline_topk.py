@@ -4,7 +4,7 @@
 Builds synthetic repositories directly from hand-rolled
 :class:`VideoIngest` objects (seeded rng, no model zoo — this measures the
 ranking path, not simulated inference), then runs the pre-change reference
-implementation (:mod:`repro.core.rvaq_reference`) and the vectorized
+implementation (``tests/core/rvaq_reference.py``) and the vectorized
 :class:`repro.core.rvaq.RVAQ` over the same queries.
 
 For every configuration the two serial runs are asserted to produce
@@ -20,8 +20,9 @@ queried with the process executor — after asserting the distributed rows
 are *identical* to the single-repository exact-score run.  In full mode
 the leg enforces a hard floor: 4-shard process speedup below 1.5x at the
 repository-scale config fails the benchmark.  A third stat times
-repository *open* at two corpus sizes to demonstrate the format-3 memmap
-layout opens in O(1) clip count while format 2 scales linearly.
+repository *open* at two corpus sizes: the format-3 memmap layout reads
+no column into memory at open, but verifies the arena's sha256, which
+streams the file once and so grows with the clip count.
 
 Writes ``BENCH_offline_topk.json``::
 
@@ -31,8 +32,7 @@ Writes ``BENCH_offline_topk.json``::
                   "speedup": ...}, ...],
      "sharded": [{"single_wall_s": ..., "process_wall_s": ...,
                   "speedup_process": ...}, ...],
-     "open_times": [{"total_clips": ..., "format2_open_s": ...,
-                     "format3_open_s": ...}, ...]}
+     "open_times": [{"total_clips": ..., "format3_open_s": ...}, ...]}
 
 ``--smoke`` shrinks the sweep to a seconds-long CI sanity run.
 """
@@ -45,18 +45,20 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # for the tests.core.rvaq_reference oracle
 
 from repro.core.baselines import pq_traverse  # noqa: E402
 from repro.core.config import RankingConfig  # noqa: E402
 from repro.core.distributed import sharded_top_k  # noqa: E402
 from repro.core.query import Query  # noqa: E402
 from repro.core.rvaq import RVAQ  # noqa: E402
-from repro.core.rvaq_reference import ReferenceRVAQ  # noqa: E402
 from repro.core.scoring import PaperScoring  # noqa: E402
 from repro.storage.repository import VideoRepository  # noqa: E402
 from repro.storage.sharded import ShardedRepository  # noqa: E402
 from repro.storage.synth import synthetic_repository  # noqa: E402
+from tests.core.rvaq_reference import ReferenceRVAQ  # noqa: E402
 
 QUERY = Query(objects=["car"], action="jumping")
 
@@ -190,13 +192,12 @@ SHARDED_SMOKE = (8, 200, 5, 64)
 SHARDED_SPEEDUP_FLOOR = 1.5
 
 #: Corpus sizes (n_videos, n_clips) for the repository-open timing stat.
-#: Clip count grows 10x between them; a format-3 open must not.
+#: Clip count grows 10x between them.
 OPEN_SIZES = [(8, 2000), (8, 20000)]
 
 #: Sequence spans per label in the open-stat corpus.  Held *fixed* while
-#: clip count grows so the stat isolates what the format-3 claim is
-#: about: score-column materialization (O(clips) in format 2, not done
-#: at open in format 3).  Sequence metadata is O(spans) in both formats.
+#: clip count grows so the stat isolates the column arena's share of the
+#: open (its checksum pass); sequence metadata is O(spans).
 OPEN_SPANS = 16
 
 
@@ -331,13 +332,12 @@ def run_sharded(
 
 
 def run_open_times(seed: int) -> list[dict]:
-    """Repository open wall time by format at two corpus sizes.
+    """Format-3 repository open wall time at two corpus sizes.
 
-    The format-3 memmap layout adopts columns without materialising
-    scores, so its open time stays flat while format 2 (compressed npz
-    per video) grows with clip count — the O(1)-open bench stat.  Span
-    structure is held fixed across the sizes (see :data:`OPEN_SPANS`) so
-    the comparison isolates column scaling.
+    Opening adopts columns without materialising scores but checks the
+    arena's recorded sha256.  Span structure is held fixed across the
+    sizes (see :data:`OPEN_SPANS`) so the comparison isolates column
+    scaling.
     """
     import tempfile
 
@@ -345,27 +345,20 @@ def run_open_times(seed: int) -> list[dict]:
     with tempfile.TemporaryDirectory() as tmp:
         for n_videos, n_clips in OPEN_SIZES:
             repo = open_stat_repository(n_videos, n_clips, seed)
-            stamp = f"{n_videos}x{n_clips}"
-            repo.save(Path(tmp) / f"f2-{stamp}", format=2)
-            repo.save(Path(tmp) / f"f3-{stamp}", format=3)
-            f2_s, _ = timed(
-                lambda: VideoRepository.load(Path(tmp) / f"f2-{stamp}"), 3
-            )
-            f3_s, _ = timed(
-                lambda: VideoRepository.load(Path(tmp) / f"f3-{stamp}"), 3
-            )
+            path = Path(tmp) / f"f3-{n_videos}x{n_clips}"
+            repo.save(path, format=3)
+            f3_s, _ = timed(lambda: VideoRepository.load(path), 3)
             rows.append(
                 {
                     "n_videos": n_videos,
                     "n_clips_per_video": n_clips,
                     "total_clips": n_videos * n_clips,
-                    "format2_open_s": round(f2_s, 6),
                     "format3_open_s": round(f3_s, 6),
                 }
             )
             print(
                 f"open clips={n_videos * n_clips:6d}  "
-                f"format2={f2_s * 1e3:8.2f}ms  format3={f3_s * 1e3:8.2f}ms"
+                f"format3={f3_s * 1e3:8.2f}ms"
             )
     return rows
 

@@ -30,8 +30,9 @@ access accounting is too.
 
 The process executor ships shard *paths* (when the repository has been
 saved) and each worker opens its shard through the format-3 memory-mapped
-column layout: O(1) open, and all workers share the arena's pages through
-the OS page cache instead of materialising private copies.
+column layout: no column is read into memory at open, and all workers
+share the arena's pages through the OS page cache instead of
+materialising private copies.
 """
 
 from __future__ import annotations
@@ -407,8 +408,8 @@ def _shard_worker(
     """Process-executor worker: open the shard, answer step/finish calls.
 
     When ``source`` is a path the shard opens through the format-3 memmap
-    layout — O(1), and its column pages are shared with every sibling
-    worker through the OS page cache.
+    layout, and its column pages are shared with every sibling worker
+    through the OS page cache.
     """
     try:
         repository = (

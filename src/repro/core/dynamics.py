@@ -27,7 +27,6 @@ book's single end-of-clip flush rather than applying them immediately.
 
 from __future__ import annotations
 
-import importlib
 import math
 import time
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ from repro.scanstats.kernel import (
     KernelRateBank,
     KernelRateEstimator,
 )
+from repro.utils.validation import require_keys
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -99,8 +99,7 @@ class QuotaManager:
     #: caller reconstructs the manager with the same labels/geometry/config
     #: before ``load_state_dict``, and the tracker list, bank wiring,
     #: bucket-skip memo and accounting hooks are all derived state.  The
-    #: estimator payload itself rides in ``state_dict()["estimators"]``
-    #: whether the rows live in a bank or in scalar estimators.
+    #: estimator payload itself rides in ``state_dict()["estimators"]``.
     _CHECKPOINT_EXCLUDE = frozenset(
         {
             "_config",
@@ -108,7 +107,6 @@ class QuotaManager:
             "_uniform_buckets",
             "_bank",
             "_row0",
-            "_banked",
             "_private_bank",
             "_label_index",
             "_sink",
@@ -181,7 +179,6 @@ class QuotaManager:
             tracker.estimator = BankedRateEstimator(
                 self._bank, self._row0 + offset
             )
-        self._banked = True
         self._sink: RateUpdateSink | None = None
         self._context: "ExecutionContext | None" = None
         #: Open interval of each tracker's last quantised bucket; a rate
@@ -262,12 +259,11 @@ class QuotaManager:
         keeps its quotas without touching ``log10`` or the table memo —
         the same values ``tracker.refresh()`` would produce, because
         within a bucket the table is constant by construction.  Managers
-        with non-uniform table quantisation (or demoted to scalar
-        estimators by a custom-class checkpoint) take the per-tracker
+        with non-uniform table quantisation take the per-tracker
         reference path on live tracker state.
         """
         trackers = self._tracker_list
-        if not self._banked or not self._uniform_buckets:
+        if not self._uniform_buckets:
             for tracker in trackers:
                 tracker.refresh()
             # Quotas may have come from swapped-in tables; the skip memo
@@ -299,71 +295,41 @@ class QuotaManager:
     def state_dict(self) -> StateDict:
         """JSON-serialisable snapshot of every estimator.
 
-        Each entry records the estimator *class* alongside its state so
-        that restore rebuilds whatever estimator type was deployed — not a
-        hardcoded default — and a checkpoint written with a custom
-        estimator round-trips faithfully.  Bank rows serialise through
-        their views in the scalar interchange format, so banked and
-        scalar checkpoints are byte-compatible.
+        Each entry carries the :class:`KernelRateEstimator` class tag
+        alongside its state; bank rows serialise through their views in
+        the scalar interchange format.
         """
         return {
             "estimators": {
                 label: {
-                    "class": _class_path(self._estimator_class(tracker)),
+                    "class": _ESTIMATOR_TAG,
                     "state": tracker.estimator.state_dict(),
                 }
                 for label, tracker in self._trackers.items()
             }
         }
 
-    @staticmethod
-    def _estimator_class(tracker: PredicateTracker) -> type:
-        cls = type(tracker.estimator)
-        # A bank-row view is an implementation detail of *this* process;
-        # checkpoints name the interchange class it restores as.
-        return KernelRateEstimator if cls is BankedRateEstimator else cls
-
     def load_state_dict(self, state: StateDict) -> None:
         """Restore estimator states from :meth:`state_dict` output.
 
-        Entries without a ``class`` tag (checkpoints from before the tag
-        existed) restore as :class:`~repro.scanstats.kernel.KernelRateEstimator`
-        and land back in the bank rows.  A checkpoint carrying a *custom*
-        estimator class demotes the whole manager to the scalar reference
-        path (the bank cannot hold foreign estimator types) — which is
-        fine for a private manager but refused when the rows live in a
-        shared fleet bank, since other queries read them.
+        The checkpoint must hold one entry per label of this manager, each
+        tagged :class:`KernelRateEstimator`; anything else raises
+        :class:`~repro.errors.ConfigurationError` before a row is touched.
+        The states land back in the bank rows.
         """
-        resolved: dict[str, tuple[type, StateDict]] = {}
-        for label, entry in state["estimators"].items():
-            if "class" in entry:
-                resolved[label] = (_resolve_class(entry["class"]), entry["state"])
-            else:
-                resolved[label] = (KernelRateEstimator, entry)
-        custom = {
-            label
-            for label, (cls, _) in resolved.items()
-            if cls is not KernelRateEstimator
-        }
-        if custom and not self._private_bank:
-            raise ConfigurationError(
-                f"checkpoint restores custom estimator classes for "
-                f"{sorted(custom)} but this manager shares a fleet rate "
-                f"bank; disable rate sharing to restore it"
-            )
-        if custom:
-            # Demote: every tracker gets a standalone estimator and the
-            # (now stale) private bank rows are abandoned.
-            self._banked = False
-            for label, (cls, est_state) in resolved.items():
-                tracker = self._trackers[label]
-                tracker.estimator = cls.from_state_dict(est_state)
-                tracker.refresh()
-            return
-        for label, (_, est_state) in resolved.items():
-            tracker = self._trackers[label]
+        entries = require_keys(
+            state["estimators"], frozenset(self._trackers), "estimator checkpoint"
+        )
+        for label, entry in entries.items():
+            require_keys(entry, _ENTRY_KEYS, f"estimator entry {label!r}")
+            if entry["class"] != _ESTIMATOR_TAG:
+                raise ConfigurationError(
+                    f"estimator {label!r} is tagged {entry['class']!r}; this "
+                    f"build restores only {_ESTIMATOR_TAG!r}"
+                )
+        for label, entry in entries.items():
             self._bank.load_row(
-                self._row0 + self._label_index[label], est_state
+                self._row0 + self._label_index[label], entry["state"]
             )
         self._invalidate_skip()
         self.refresh_all()
@@ -390,11 +356,6 @@ class QuotaManager:
         With a sink attached the composed update is enqueued for the
         sink's end-of-clip flush instead of applied here.
         """
-        if not self._banked:
-            self._update_reference(
-                outcomes, positive=positive, in_guard_band=in_guard_band
-            )
-            return
         counts, units, fold = self._compose_update(
             outcomes, positive=positive, in_guard_band=in_guard_band
         )
@@ -466,43 +427,9 @@ class QuotaManager:
                 STAGE_REFRESH, time.perf_counter() - mid
             )
 
-    def _update_reference(
-        self,
-        outcomes: Mapping[str, PredicateOutcome],
-        *,
-        positive: bool,
-        in_guard_band: bool,
-    ) -> None:
-        """The scalar reference update (managers demoted off the bank)."""
-        policy = self._config.update_on
-        for label, tracker in self._trackers.items():
-            outcome = outcomes.get(label)
-            if outcome is not None and outcome.evaluated:
-                if outcome.degraded:
-                    tracker.estimator.advance(outcome.units)
-                    continue
-                if policy == "all":
-                    fold = True
-                elif policy == "positive":
-                    fold = positive
-                else:
-                    fold = not in_guard_band and not positive
-                if fold:
-                    tracker.estimator.observe_batch(outcome.count, outcome.units)
-                else:
-                    tracker.estimator.advance(outcome.units)
-            else:
-                tracker.estimator.advance(tracker.table.w)
-        self.refresh_all()
 
+#: Class tag of every estimator entry a checkpoint carries.
+_ESTIMATOR_TAG = f"{KernelRateEstimator.__module__}:{KernelRateEstimator.__qualname__}"
 
-def _class_path(cls: type) -> str:
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
-def _resolve_class(path: str) -> type:
-    module_name, _, qualname = path.partition(":")
-    obj = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
+#: The exact key set of one estimator entry.
+_ENTRY_KEYS = frozenset({"class", "state"})

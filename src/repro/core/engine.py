@@ -9,7 +9,7 @@ These are the objects the SQL layer's planner drives and the examples use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 from typing import TYPE_CHECKING
 
@@ -48,6 +48,7 @@ from repro.video.synthesis import LabeledVideo
 OnlineAlgorithm = Literal["svaq", "svaqd"]
 OfflineAlgorithm = Literal["rvaq", "rvaq-noskip", "fa", "pq-traverse"]
 Executor = Literal["serial", "thread"]
+R = TypeVar("R")
 
 
 @dataclass
@@ -98,40 +99,10 @@ class OnlineEngine:
         deterministic per video) and returned in the videos' insertion
         order either way.
         """
-        videos = list(videos)
-        if executor == "serial":
-            return {
-                video.video_id: self.run(
-                    query, video, algorithm, context=context
-                )
-                for video in videos
-            }
-        if executor == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            # Each video gets a private context; merging afterwards (in
-            # insertion order) keeps shared counters exact without
-            # per-increment locking across the pool.
-            locals_ = [
-                ExecutionContext() if context is not None else None
-                for _ in videos
-            ]
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        self.run, query, video, algorithm, context=local
-                    )
-                    for video, local in zip(videos, locals_)
-                ]
-                results = [future.result() for future in futures]
-            if context is not None:
-                for local in locals_:
-                    context.merge(local)
-            return {
-                video.video_id: result
-                for video, result in zip(videos, results)
-            }
-        raise ConfigurationError(f"unknown executor {executor!r}")
+        return _fan_out(
+            lambda video, ctx: self.run(query, video, algorithm, context=ctx),
+            videos, executor, max_workers, context,
+        )
 
     def run_queries(
         self,
@@ -213,39 +184,12 @@ class OnlineEngine:
         input order.
         """
         scheduler = self._fleet_scheduler(queries, algorithm)
-        videos = list(videos)
-        if executor == "serial":
-            return {
-                video.video_id: scheduler.run(
-                    video, short_circuit=short_circuit, context=context
-                )
-                for video in videos
-            }
-        if executor == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            locals_ = [
-                ExecutionContext() if context is not None else None
-                for _ in videos
-            ]
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        scheduler.run,
-                        video,
-                        short_circuit=short_circuit,
-                        context=local,
-                    )
-                    for video, local in zip(videos, locals_)
-                ]
-                runs = [future.result() for future in futures]
-            if context is not None:
-                for local in locals_:
-                    context.merge(local)
-            return {
-                video.video_id: run for video, run in zip(videos, runs)
-            }
-        raise ConfigurationError(f"unknown executor {executor!r}")
+        return _fan_out(
+            lambda video, ctx: scheduler.run(
+                video, short_circuit=short_circuit, context=ctx
+            ),
+            videos, executor, max_workers, context,
+        )
 
     def run_compound(
         self,
@@ -261,6 +205,42 @@ class OnlineEngine:
         return CompoundOnline(
             self.zoo, compound, self.config, dynamic=(algorithm == "svaqd")
         ).run(video, context=context)
+
+
+def _fan_out(
+    run_one: Callable[[LabeledVideo, ExecutionContext | None], R],
+    videos: Iterable[LabeledVideo],
+    executor: Executor,
+    max_workers: int | None,
+    context: ExecutionContext | None,
+) -> dict[str, R]:
+    """``{video_id: run_one(video, ctx)}`` in the videos' insertion order.
+
+    Serially every run shares ``context``.  Over threads each video gets
+    a private context, merged into ``context`` afterwards in insertion
+    order, which keeps shared counters exact without per-increment
+    locking across the pool.
+    """
+    videos = list(videos)
+    if executor == "serial":
+        return {video.video_id: run_one(video, context) for video in videos}
+    if executor != "thread":
+        raise ConfigurationError(f"unknown executor {executor!r}")
+    from concurrent.futures import ThreadPoolExecutor
+
+    locals_ = [
+        ExecutionContext() if context is not None else None for _ in videos
+    ]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = [
+            pool.submit(run_one, video, local)
+            for video, local in zip(videos, locals_)
+        ]
+        results = [future.result() for future in futures]
+    if context is not None:
+        for local in locals_:
+            context.merge(local)
+    return {video.video_id: result for video, result in zip(videos, results)}
 
 
 @dataclass

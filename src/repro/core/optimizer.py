@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+from repro.utils.validation import require_keys
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -54,6 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 MIN_PROBES = 3
 
 _EPS = 1e-9
+
+#: The exact key set of :meth:`ConjunctOptimizer.state_dict`.
+_STATE_KEYS = frozenset(
+    {"fired", "probed", "reorders", "last_order", "epoch_index", "epoch_order"}
+)
 
 #: Fallback chunk size when the deployed models charge nothing (ideal
 #: profiles) — matches the config default.
@@ -302,27 +308,27 @@ class ConjunctOptimizer:
         }
 
     def load_state_dict(self, state: StateDict) -> None:
-        """Restore :meth:`state_dict` output (also accepts the legacy
-        ``{"fired": ..., "probed": ...}`` selectivity payload of v4
-        session checkpoints — the other fields default)."""
+        """Restore :meth:`state_dict` output; a payload with a missing or
+        unknown key raises :class:`~repro.errors.ConfigurationError`."""
+        require_keys(state, _STATE_KEYS, "conjunct optimizer state")
         self._fired.update(
-            {str(k): int(v) for k, v in state.get("fired", {}).items()}
+            {str(k): int(v) for k, v in state["fired"].items()}
         )
         self._probed.update(
-            {str(k): int(v) for k, v in state.get("probed", {}).items()}
+            {str(k): int(v) for k, v in state["probed"].items()}
         )
-        self._reorders = int(state.get("reorders", 0))
-        last_order = state.get("last_order")
+        self._reorders = int(state["reorders"])
+        last_order = state["last_order"]
         self._last_order = (
             tuple(str(label) for label in last_order)
             if last_order is not None
             else None
         )
-        epoch_index = state.get("epoch_index")
+        epoch_index = state["epoch_index"]
         self._epoch_index = (
             int(epoch_index) if epoch_index is not None else None
         )
-        epoch_order = state.get("epoch_order")
+        epoch_order = state["epoch_order"]
         self._epoch_order = (
             tuple(str(label) for label in epoch_order)
             if epoch_order is not None

@@ -25,6 +25,7 @@ from repro.core.dynamics import QuotaManager
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
 from repro.scanstats.critical import critical_value
+from repro.utils.validation import require_keys
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -253,7 +254,7 @@ class ConsumableQuotaPolicy(StaticQuotaPolicy):
     def load_state_dict(self, state: StateDict) -> None:
         super().load_state_dict(state)
         self._used = {label: 0 for label in self._quotas}
-        for label, n in state.get("used", {}).items():
+        for label, n in state["used"].items():
             self._check_label(label)
             self._used[label] = int(n)
 
@@ -310,13 +311,15 @@ class DynamicQuotaPolicy(QuotaPolicy):
 
 def policy_from_state_dict(state: StateDict, fallback: QuotaPolicy) -> QuotaPolicy:
     """Validate that a checkpointed policy state matches the session's
-    configured policy kind, then restore it in place."""
-    kind = state.get("kind", "dynamic")
+    configured policy kind and carries exactly the keys that policy
+    writes, then restore it in place."""
+    kind = state.get("kind") if isinstance(state, Mapping) else None
     expected = fallback.kind
     if kind != expected:
         raise ConfigurationError(
             f"checkpoint holds a {kind!r} quota policy but the session was "
             f"built with a {expected!r} one"
         )
+    require_keys(state, frozenset(fallback.state_dict()), f"{kind} quota policy state")
     fallback.load_state_dict(state)
     return fallback

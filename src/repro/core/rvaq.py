@@ -23,14 +23,13 @@ decided-in/out sweeps as boolean masks — run as array kernels instead of a
 Python re-sort per pair.  The kernels perform the same IEEE operations per
 element as the scalar path (see :mod:`repro.core.scoring`), so serial
 results — ranked tuples, ``AccessStats``, ``iterations`` — are
-bit-identical to the original row-at-a-time implementation, preserved as
-:class:`repro.core.rvaq_reference.ReferenceRVAQ` and enforced by the
-equivalence suite in ``tests/core/test_rvaq_equivalence.py``.
+bit-identical to the original row-at-a-time implementation, kept as the
+test oracle ``ReferenceRVAQ`` in ``tests/core/rvaq_reference.py`` and
+enforced by the equivalence suite in ``tests/core/test_rvaq_equivalence.py``.
 
 ``C_skip`` is interval-backed (:class:`~repro.utils.intervals.IntervalSkipSet`)
-by default — membership by binary search over runs instead of a point set
-over nearly the whole repository; ``skip_backend="points"`` keeps the
-point-``set`` representation for differential testing.
+— membership by binary search over runs instead of a point set over nearly
+the whole repository (the oracle keeps the point set).
 
 ``RankingConfig.tbclip_batch`` drains B certified pairs per iterator call.
 ``B = 1`` (the default) is exactly the serial algorithm; with ``B > 1``
@@ -50,7 +49,7 @@ from repro.core.config import RankingConfig
 from repro.core.query import Query
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.tbclip import TBClipIterator
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import QueryError
 from repro.storage.access import AccessStats
 from repro.storage.repository import VideoRepository
 from repro.utils.intervals import (
@@ -153,17 +152,11 @@ class RVAQ:
         config: RankingConfig | None = None,
         *,
         enable_skip: bool = True,
-        skip_backend: str = "interval",
     ) -> None:
-        if skip_backend not in ("interval", "points"):
-            raise ConfigurationError(
-                f"skip_backend must be interval/points; got {skip_backend!r}"
-            )
         self._repo = repository
         self._scoring = scoring or PaperScoring()
         self._config = config or RankingConfig()
         self._enable_skip = enable_skip
-        self._skip_backend = skip_backend
 
     # -- public API ----------------------------------------------------------------
 
@@ -203,11 +196,7 @@ class RVAQ:
         cols = _BoundColumns(p_q, scoring.identity)
 
         # C_skip starts as every repository clip outside P_q (§4.3).
-        outside = self._repo.all_clips().difference(p_q)
-        if self._skip_backend == "interval":
-            skip = IntervalSkipSet(outside)
-        else:
-            skip = set(outside.points())
+        skip = IntervalSkipSet(self._repo.all_clips().difference(p_q))
         primary, others = self._split_labels(query)
         iterator = TBClipIterator(
             action_table=self._repo.table(primary),
@@ -335,7 +324,7 @@ class RVAQ:
     def _apply_decisions(
         self,
         cols: _BoundColumns,
-        skip: "IntervalSkipSet | set[int]",
+        skip: IntervalSkipSet,
         k: int,
         floor: float = float("-inf"),
     ) -> bool:
@@ -384,11 +373,7 @@ class RVAQ:
             if decided.any():
                 cols.live = live & ~decided
                 for i in np.flatnonzero(decided):
-                    interval = cols.intervals[i]
-                    if isinstance(skip, IntervalSkipSet):
-                        skip.add(interval)
-                    else:
-                        skip.update(iter(interval))
+                    skip.add(cols.intervals[i])
 
         if n <= k:
             # Every sequence is in the answer; keep refining until scores

@@ -57,6 +57,7 @@ from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
+from repro.utils.validation import require_keys
 from repro.video.model import ClipView
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
@@ -72,14 +73,17 @@ __all__ = [
     "spec_from_dict",
 ]
 
-#: Format tag of :meth:`FleetRun.state_dict` bundles.  Version 2 adds the
-#: shared rate book's grouping table; version-1 bundles still load, with
-#: rate sharing disabled for the restored fleet (a perf-only downgrade —
-#: results are identical either way).  Version 3 records the shared
-#: cache's chunk size, so a fleet built with cost-planned chunks
-#: (``cache_chunk_clips=0``) resumes on the exact chunk grid it
-#: checkpointed with; version-2 bundles load with the config's size.
+#: Format tag of :meth:`FleetRun.state_dict` bundles; bump on any key
+#: change.  Only the current version loads.
 FLEET_STATE_VERSION = 3
+
+#: The exact key set of a :meth:`FleetRun.state_dict` bundle.
+_STATE_KEYS = frozenset(
+    {
+        "version", "video_id", "position", "auto_counter", "chunk_clips",
+        "retired", "rate_book", "specs", "sessions", "contexts",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -641,25 +645,25 @@ class FleetRun:
             raise ConfigurationError(
                 "fleet state must be loaded into a fresh, empty run"
             )
-        if state.get("video_id") != self._video.video_id:
+        require_keys(state, _STATE_KEYS, "fleet checkpoint")
+        if state["version"] != FLEET_STATE_VERSION:
             raise ConfigurationError(
-                f"fleet checkpoint holds video {state.get('video_id')!r}, "
+                f"unsupported fleet state version {state['version']!r}; "
+                f"this build reads version {FLEET_STATE_VERSION}"
+            )
+        if state["video_id"] != self._video.video_id:
+            raise ConfigurationError(
+                f"fleet checkpoint holds video {state['video_id']!r}, "
                 f"not {self._video.video_id!r}"
             )
-        version = int(state.get("version", 1))
-        if not 1 <= version <= FLEET_STATE_VERSION:
-            raise ConfigurationError(
-                f"unsupported fleet state version {version}; this build "
-                f"reads versions 1..{FLEET_STATE_VERSION}"
-            )
         self._position = int(state["position"])
-        self._auto_counter = int(state.get("auto_counter", 0))
-        # v3 bundles pin the shared cache's chunk grid; a run whose config
+        self._auto_counter = int(state["auto_counter"])
+        # The bundle pins the shared cache's chunk grid; a run whose config
         # planned a different size (e.g. the meter has observations now
         # that it lacked at first registration) must rebuild on the
         # checkpointed grid before any session attaches, or the restored
         # sessions' epoch cadence would diverge from the source fleet's.
-        stored_chunk = state.get("chunk_clips")
+        stored_chunk = state["chunk_clips"]
         if (
             stored_chunk is not None
             and self._cache is not None
@@ -669,10 +673,10 @@ class FleetRun:
                 self._zoo, self._video, self._config,
                 chunk_clips=int(stored_chunk),
             )
-        book_state = state.get("rate_book")
+        book_state = state["rate_book"]
         if book_state is None:
-            # Version-1 bundle, or the source fleet ran unshared: restore
-            # every session on a private rate series.  Perf-only downgrade.
+            # The source fleet ran unshared: restore every session on a
+            # private rate series.  Perf-only downgrade.
             self._rate_book = None
         elif self._rate_book is not None:
             # Prime the grouping before re-registration so members rejoin
@@ -688,7 +692,7 @@ class FleetRun:
                 ExecutionStats.from_dict(state["contexts"][name])
             )
         # Reserve retired names without their (already-delivered) results.
-        for name in state.get("retired", []):
+        for name in state["retired"]:
             self._contexts.setdefault(name, ExecutionContext())
         return self
 
@@ -730,22 +734,6 @@ class MultiQueryScheduler:
             self._zoo, video, self._config, self._specs,
             cache=cache, start_clip=start_clip,
         )
-
-    def sessions(
-        self,
-        video: LabeledVideo,
-        *,
-        cache: DetectionScoreCache | None = None,
-    ) -> dict[str, StreamSession]:
-        """One session per registered query, sharing one detection cache.
-
-        When ``cache`` is omitted and ``config.cache_detections`` is on, a
-        fresh per-video cache is built; with caching disabled each session
-        falls back to the serial ``score_clip`` reference path.  Every
-        session gets a private :class:`ExecutionContext`.
-        """
-        run = self.start(video, cache=cache)
-        return {name: run.session(name) for name in run.live}
 
     def run(
         self,

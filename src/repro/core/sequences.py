@@ -14,7 +14,11 @@ from typing import Callable, Iterable
 
 from repro.errors import VideoModelError
 from repro.utils.intervals import Interval, IntervalSet
+from repro.utils.validation import require_keys
 from repro._typing import StateDict
+
+#: The exact key set of :meth:`SequenceAssembler.state_dict`.
+_STATE_KEYS = frozenset({"closed", "run_start", "last_clip", "finished"})
 
 
 @dataclass
@@ -97,13 +101,14 @@ class SequenceAssembler:
         Restored sequences are *not* re-emitted through ``on_emit``; only
         sequences closed after the restore point fire the callback.
         """
+        require_keys(state, _STATE_KEYS, "sequence assembler state")
         assembler = cls(on_emit=on_emit)
         assembler.closed.extend(
             Interval(start, end) for start, end in state["closed"]
         )
         assembler._run_start = state["run_start"]
         assembler._last_clip = state["last_clip"]
-        assembler._finished = bool(state.get("finished", False))
+        assembler._finished = bool(state["finished"])
         return assembler
 
 

@@ -71,6 +71,7 @@ from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
+from repro.utils.validation import require_keys
 from repro.video.model import ClipView
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
@@ -78,13 +79,17 @@ from repro._typing import StateDict
 if TYPE_CHECKING:
     from repro.core.ratebook import SharedRateBook
 
-#: Format tag written into checkpoints; bump on incompatible changes.
-#: v3 adds the detection-score-cache charge state; v4 adds the
-#: fault-tolerance state (degraded clips + hold-last-estimate memory);
-#: v5 replaces the bare selectivity counters with the conjunct
-#: optimizer's state (probe statistics, reorder counter, stored epoch
-#: order).  v1–v4 checkpoints (missing entries) still load.
+#: Format tag written into checkpoints; bump on any key change.  Only
+#: the current version loads.
 CHECKPOINT_VERSION = 5
+
+#: The exact key set of a :meth:`StreamSession.state_dict` checkpoint.
+_STATE_KEYS = frozenset(
+    {
+        "version", "clip_index", "prev_positive", "pending", "policy",
+        "assembler", "optimizer", "trace", "cache", "degraded_clips", "held",
+    }
+)
 
 #: Session lifecycle states.  A session is born RUNNING; the service layer
 #: marks it DRAINING when no further clips will arrive (cancel requested or
@@ -696,7 +701,7 @@ class StreamSession:
         policy's state (estimators or static quotas), the open result run,
         the guard-band lookahead and the probe counter.  Already-emitted
         sequences are included so the resumed session's final result is
-        the full stream's.  Since v3 the detection score cache's charge
+        the full stream's.  The detection score cache's charge
         bookkeeping rides along, so a resumed session keeps metering
         already-charged clips as cache hits rather than re-charging fresh
         model units.
@@ -715,13 +720,12 @@ class StreamSession:
             ),
             "policy": self._policy.state_dict(),
             "assembler": self._assembler.state_dict(),
-            # v5: the conjunct optimizer's full state (probe statistics,
-            # reorder counter, stored epoch order) — superset of the v4
-            # "selectivity" payload.
+            # The conjunct optimizer's full state (probe statistics,
+            # reorder counter, stored epoch order).
             "optimizer": self._optimizer.state_dict(),
             "trace": list(self._trace),
             "cache": cache.state_dict() if cache is not None else None,
-            # v4: fault-tolerance state.  The degraded-clip list feeds the
+            # Fault-tolerance state.  The degraded-clip list feeds the
             # final result/stats; the held estimates make a resumed
             # ``hold_last_estimate`` session replay the same counts the
             # uninterrupted run would.
@@ -740,20 +744,20 @@ class StreamSession:
         reconstructed by the caller — build the session exactly as the
         checkpointed one was built, then load.  Returns ``self``.
 
-        Accepts every version the lattice has seen (1..5, each widening
-        handled by a keyed fallback below); anything outside that range —
-        notably a checkpoint written by a *newer* build — is rejected
-        rather than silently misread.
+        Reads exactly what :meth:`state_dict` writes: a checkpoint of
+        another version, or with a missing or unknown key, raises
+        :class:`~repro.errors.ConfigurationError` rather than loading
+        with defaults.
         """
-        version = int(state.get("version", 1))
-        if not 1 <= version <= CHECKPOINT_VERSION:
+        require_keys(state, _STATE_KEYS, "session checkpoint")
+        if state["version"] != CHECKPOINT_VERSION:
             raise ConfigurationError(
-                f"unsupported checkpoint version {version}; this build "
-                f"reads versions 1..{CHECKPOINT_VERSION}"
+                f"unsupported checkpoint version {state['version']!r}; this "
+                f"build reads version {CHECKPOINT_VERSION}"
             )
         self._clip_index = int(state["clip_index"])
         self._prev_positive = bool(state["prev_positive"])
-        pending = state.get("pending")
+        pending = state["pending"]
         self._pending = (
             self._predicate.evaluation_from_dict(pending)
             if pending is not None
@@ -769,36 +773,25 @@ class StreamSession:
         self._buffer_short_circuit = None
         self._lifecycle = SESSION_RUNNING
         self._finished = False
-        if "policy" in state:
-            policy_state = state["policy"]
-        else:
-            # v1 checkpoints (SVAQD only) stored bare estimator states.
-            policy_state = {"kind": "dynamic", "estimators": state["estimators"]}
-        self._policy = policy_from_state_dict(policy_state, self._policy)
+        self._policy = policy_from_state_dict(state["policy"], self._policy)
         if not self._policy.dynamic:
             self._static_quotas = self._policy.quotas()
-        cache_state = state.get("cache")  # absent in v1/v2 checkpoints
+        cache_state = state["cache"]
         cache = self._predicate.cache
         if cache_state is not None and cache is not None:
             cache.load_state_dict(cache_state)
         self._assembler = SequenceAssembler.from_state_dict(
             state["assembler"], on_emit=self._on_emit
         )
-        self._degraded_clips = [
-            int(c) for c in state.get("degraded_clips", [])
-        ]
-        held = state.get("held")
+        self._degraded_clips = [int(c) for c in state["degraded_clips"]]
+        held = state["held"]
         if held and hasattr(self._predicate, "load_held_state"):
             self._predicate.load_held_state(held)
-        optimizer_state = state.get("optimizer")
-        if optimizer_state is None:
-            # v2–v4 checkpoints carried only the bare probe counters.
-            optimizer_state = state.get("selectivity", {})
-        self._optimizer.load_state_dict(optimizer_state)
+        self._optimizer.load_state_dict(state["optimizer"])
         self._reorders_seen = self._optimizer.reorders
         self._trace = [
             {label: int(k) for label, k in entry.items()}
-            for entry in state.get("trace", [])
+            for entry in state["trace"]
         ]
         return self
 

@@ -33,8 +33,8 @@ frontier-bound column with one vectorised ``g`` application
 (:meth:`ScoringScheme.clip_score_block`).  Rounds then consume plain
 array slots and the meter is charged per consumed row, so the access
 accounting — and every returned pair — is bit-identical to the
-row-at-a-time execution (kept as
-:class:`repro.core.rvaq_reference.ReferenceTBClipIterator`).
+row-at-a-time execution (kept as the test oracle
+``ReferenceTBClipIterator`` in ``tests/core/rvaq_reference.py``).
 
 :meth:`next_batch` drains several certified pairs per call for callers
 that amortise their per-pair work; see the method docs for the (small,

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError, CorruptedOutputError
+from repro.utils.validation import require_keys
 from repro.video.ground_truth import GroundTruth
 from repro.video.model import VideoMeta
 from repro._typing import StateDict
@@ -386,7 +387,8 @@ class DetectionScoreCache:
     def load_state_dict(self, state: StateDict) -> None:
         """Mark clips as already-fresh-charged without charging the meter
         (their units were metered before the checkpoint was taken)."""
-        for key, runs in state.get("charged", {}).items():
+        require_keys(state, frozenset({"charged"}), "detection cache state")
+        for key, runs in state["charged"].items():
             kind, _, label = key.partition(":")
             if kind not in _KINDS:
                 raise ConfigurationError(

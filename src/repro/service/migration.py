@@ -1,7 +1,7 @@
 """Session migration — one bundle that moves a live service between
 processes.
 
-The v4 session checkpoints (:meth:`StreamSession.state_dict`) capture one
+The session checkpoints (:meth:`StreamSession.state_dict`) capture one
 query; migrating a *service* means capturing every live session on every
 stream, the scheduler state around them (stream cursors, fleet
 membership, the shared caches' charge bookkeeping — which rides inside
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigurationError
+from repro.utils.validation import require_keys
 from repro._typing import StateDict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,6 +38,9 @@ __all__ = ["ServiceState", "SERVICE_BUNDLE_VERSION"]
 #: Format tag of service migration bundles.  Bump on layout changes; old
 #: bundles are refused loudly rather than misread.
 SERVICE_BUNDLE_VERSION = 1
+
+#: The exact key set of :meth:`ServiceState.to_dict`.
+_BUNDLE_KEYS = frozenset({"version", "streams", "registry", "admission"})
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,10 @@ class ServiceState:
 
     @classmethod
     def from_dict(cls, payload: StateDict) -> "ServiceState":
-        """Parse a bundle, refusing unknown format versions."""
-        version = payload.get("version")
+        """Parse a bundle, refusing any other version and any missing or
+        unknown key with :class:`~repro.errors.ConfigurationError`."""
+        require_keys(payload, _BUNDLE_KEYS, "service bundle")
+        version = payload["version"]
         if version != SERVICE_BUNDLE_VERSION:
             raise ConfigurationError(
                 f"unsupported service bundle version {version!r} "

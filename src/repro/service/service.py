@@ -467,9 +467,9 @@ class QueryService:
                     f"bundle holds stream {stream_name!r} but no video "
                     f"was supplied for it"
                 ) from None
-            position = int(fleet_state["position"])
             fleet = FleetRun(service._zoo, video, service._config)
             fleet.load_state_dict(fleet_state)
+            position = int(fleet_state["position"])
             service._streams[stream_name] = _Stream(
                 video=video,
                 clips=ClipStream(video.meta, start_clip=position),

@@ -10,8 +10,8 @@ the video id — so that
 * any process can route a video id to its shard without coordination
   (ingest routing, result localisation, incremental adds);
 * each shard is a plain ``VideoRepository`` persisted in the format-3
-  memory-mapped column layout, opening in O(1) and sharing pages across
-  the scatter-gather worker processes
+  memory-mapped column layout, opening without reading columns into
+  memory and sharing pages across the scatter-gather worker processes
   (:func:`repro.core.distributed.sharded_top_k`);
 * the *global ingestion order* of videos is recorded in the shard
   manifest, which is what lets the distributed top-K reproduce the
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping
 from repro.errors import StorageError
 from repro.storage.columns import read_json
 from repro.storage.ingest import VideoIngest
-from repro.storage.repository import VideoRepository, _promote
+from repro.storage.repository import FORMAT, VideoRepository, _promote
 from repro.utils.validation import require_positive_int
 
 _MANIFEST = "shard-manifest.json"
@@ -128,7 +128,7 @@ class ShardedRepository:
         self._assignment: dict[str, int] = {}
         #: Directory this repository was loaded from / saved to, if any —
         #: the scatter-gather process executor ships shard *paths* to its
-        #: workers (each opens its shard via the O(1) memmap path) instead
+        #: workers (each opens its shard via the memmap path) instead
         #: of pickling table columns across the pool.
         self.path: Path | None = None
 
@@ -258,7 +258,7 @@ class ShardedRepository:
 
     @classmethod
     def load(cls, directory: str | Path) -> "ShardedRepository":
-        """Open a saved shard tree; O(1) per shard in clip count.
+        """Open a saved shard tree, verifying every shard's checksums.
 
         A torn manifest (top-level or any shard's) raises
         :class:`~repro.errors.StorageError`; sibling shards are never
@@ -314,7 +314,7 @@ def is_sharded(directory: str | Path) -> bool:
 
 def describe(directory: str | Path) -> dict[str, object]:
     """Manifest-level description of a saved repository directory — the
-    ``repro repo info`` payload.  O(1) in clip count for format 3."""
+    ``repro repo info`` payload."""
     root = Path(directory).resolve()
     if is_sharded(root):
         sharded = ShardedRepository.load(root)
@@ -328,11 +328,10 @@ def describe(directory: str | Path) -> dict[str, object]:
             "clips_per_shard": [s.total_clips for s in sharded.shards],
         }
     repo = VideoRepository.load(root)
-    manifest = read_json(root / "manifest.json", "repository manifest")
     return {
         "path": str(root),
         "sharded": False,
-        "format": int(manifest.get("format", 1)),  # type: ignore[arg-type]
+        "format": FORMAT,
         "n_videos": repo.n_videos,
         "total_clips": repo.total_clips,
     }

@@ -6,7 +6,9 @@ the offending parameter, so configuration mistakes fail fast and readably.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError, ScanStatisticsError
+from typing import Any, Mapping
+
+from repro.errors import ConfigurationError, ReproError, ScanStatisticsError
 
 
 def require_probability(value: float, name: str, *, open_interval: bool = False) -> float:
@@ -48,3 +50,24 @@ def require_in(value: object, options: tuple[object, ...], name: str) -> object:
     if value not in options:
         raise ConfigurationError(f"{name} must be one of {options}; got {value!r}")
     return value
+
+
+def require_keys(
+    payload: object,
+    keys: frozenset[str],
+    what: str,
+    error: type[ReproError] = ConfigurationError,
+) -> Mapping[str, Any]:
+    """Require ``payload`` to be a mapping with exactly ``keys``.
+
+    Loaders call this before reading a persisted payload, so a dropped or
+    unknown key raises ``error`` instead of a raw ``KeyError`` or a
+    silently taken default.  Returns the payload, typed as a mapping.
+    """
+    if not isinstance(payload, Mapping):
+        raise error(f"{what} must be a mapping; got {type(payload).__name__}")
+    missing = sorted(keys - payload.keys())
+    extra = sorted(str(key) for key in payload if key not in keys)
+    if missing or extra:
+        raise error(f"{what} has missing keys {missing} and unknown keys {extra}")
+    return payload

@@ -21,6 +21,7 @@ from repro.core.session import StreamSession
 from repro.core.svaq import SVAQ
 from repro.core.svaqd import SVAQD
 from repro.detectors.faults import FaultProfile, faulty_zoo
+from repro.errors import ConfigurationError
 from repro.detectors.zoo import default_zoo
 from repro.video.stream import ClipStream
 
@@ -136,26 +137,18 @@ class TestCheckpointDegradationState:
         assert state["degraded_clips"], "dead label should degrade clips"
         assert "held" in state
 
-    def test_pre_v4_state_still_loads(self):
-        """A checkpoint written before fault tolerance existed has neither
-        key; loading must fall back to empty degradation state."""
-        session = self.run_prefix(10)
-        state = json.loads(json.dumps(session.state_dict()))
-        state.pop("degraded_clips")
-        state.pop("held")
+    @pytest.mark.parametrize("key", ["degraded_clips", "held"])
+    def test_state_without_degradation_keys_rejected(self, key):
+        """A checkpoint without the fault-tolerance state is not a current
+        one; loading it must fail rather than drop the degraded clips."""
+        state = json.loads(json.dumps(self.run_prefix(10).state_dict()))
+        state.pop(key)
         zoo = faulty_zoo(
             default_zoo(seed=4),
             FaultProfile(name="dead", dead_labels=("faucet",), seed=23),
         )
-        resumed = StreamSession.for_query(
+        fresh = StreamSession.for_query(
             zoo, QUERY, VIDEO, armed_config("hold_last_estimate"), dynamic=True
-        ).load_state_dict(state)
-        stream = ClipStream(VIDEO.meta)
-        for _ in range(10):
-            stream.next()  # skip the prefix the checkpoint covers
-        while not stream.end():
-            resumed.process(stream.next())
-        result = resumed.finish()
-        # the prefix degradations were dropped with the key, but the tail
-        # still accumulates its own
-        assert all(cid >= 10 for cid in result.degraded_clips)
+        )
+        with pytest.raises(ConfigurationError, match=key):
+            fresh.load_state_dict(state)

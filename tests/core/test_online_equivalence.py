@@ -350,33 +350,6 @@ class TestSharedRateEquivalence:
             evaluations=False,
         )
 
-    def test_v1_checkpoint_loads_with_sharing_disabled(self, seed):
-        """Pre-rate-book bundles restore every session on a private series
-        — a perf-only downgrade with identical results."""
-        video, query = random_video(seed, GEOMETRIES["paper"])
-        queries = self._fleet_queries(query)
-        reference_run, _ = self._run_fleet(queries, video, share=True)
-
-        fleet = MultiQueryScheduler(default_zoo(seed=3), queries).start(video)
-        clips = ClipStream(video.meta)
-        half = max(1, video.meta.n_clips // 2)
-        for _ in range(half):
-            fleet.advance([clips.next()])
-        state = json.loads(json.dumps(fleet.state_dict()))
-        state["version"] = 1
-        del state["rate_book"]
-
-        resumed = FleetRun(default_zoo(seed=3), video)
-        resumed.load_state_dict(state)
-        assert resumed.rate_book_stats() is None
-        for clip in ClipStream(video.meta, start_clip=half):
-            resumed.advance([clip])
-        self._assert_runs_identical(
-            resumed.finish(), reference_run, len(queries),
-            evaluations=False,
-        )
-
-
 @pytest.mark.parametrize("seed", [13, 29, 43])
 class TestFleetMigrationEquivalence:
     """A fleet interrupted mid-stream and resumed in a fresh scheduler —

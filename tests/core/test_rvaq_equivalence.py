@@ -4,7 +4,7 @@ The vectorized RVAQ/TBClip implementation must reproduce the reference
 (pair-at-a-time, per-sequence-object) implementation *bit for bit* in
 serial mode — same ranked tuples, same metered access counts, same
 iteration count — and must keep the same result *set* under the relaxed
-modes (batched iteration, skip disabled, point-set skip backend).
+modes (batched iteration, skip disabled).
 
 Contracts being pinned down (see DESIGN.md "Offline top-K pipeline"):
 
@@ -27,12 +27,12 @@ import pytest
 from repro.core.config import RankingConfig
 from repro.core.query import Query
 from repro.core.rvaq import RVAQ
-from repro.core.rvaq_reference import ReferenceRVAQ
 from repro.core.scoring import MaxScoring, PaperScoring
 from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import IntervalSet
+from tests.core.rvaq_reference import ReferenceRVAQ
 
 QUERY = Query(objects=["car"], action="jumping")
 
@@ -152,20 +152,6 @@ class TestSerialBitIdentity:
         for r in new.ranked:
             assert r.lower_bound == r.upper_bound
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_point_skip_backend(self, seed):
-        """The point-set skip backend is a drop-in for the interval one."""
-        repo = rand_repo(seed)
-        a = RVAQ(
-            repo, PaperScoring(), RankingConfig(), skip_backend="interval"
-        ).top_k(QUERY, 5)
-        b = RVAQ(
-            repo, PaperScoring(), RankingConfig(), skip_backend="points"
-        ).top_k(QUERY, 5)
-        assert ranked_tuples(a) == ranked_tuples(b)
-        assert stats_tuple(a) == stats_tuple(b)
-        assert a.iterations == b.iterations
-
 
 class TestBatchedEquivalence:
     """Batched TBClip drains keep the ranked result; accesses may grow."""
@@ -208,8 +194,6 @@ class TestBatchedEquivalence:
 
         with pytest.raises(ConfigurationError):
             RankingConfig(tbclip_batch=0)
-        with pytest.raises(ConfigurationError):
-            RVAQ(rand_repo(0), PaperScoring(), skip_backend="bogus")
 
 
 class TestSkipEquivalence:

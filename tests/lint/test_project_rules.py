@@ -97,14 +97,13 @@ class TestVersionLatticeCrossModule:
         reports the restore as reading but never rejecting."""
         source = SESSION_PY.read_text("utf-8")
         mutated = source.replace(
-            '        version = int(state.get("version", 1))\n'
-            "        if not 1 <= version <= CHECKPOINT_VERSION:\n"
+            '        if state["version"] != CHECKPOINT_VERSION:\n'
             "            raise ConfigurationError(\n"
-            '                f"unsupported checkpoint version {version}; '
-            'this build "\n'
-            '                f"reads versions 1..{CHECKPOINT_VERSION}"\n'
+            "                f\"unsupported checkpoint version {state['version']!r}; "
+            'this "\n'
+            '                f"build reads version {CHECKPOINT_VERSION}"\n'
             "            )\n",
-            '        version = int(state.get("version", 1))\n',
+            "",
         )
         assert mutated != source
         ast.parse(mutated)  # the surgery must leave valid syntax

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 import repro.storage.repository as repository_module
@@ -21,6 +20,7 @@ from repro.storage.ingest import (
     ingest_many,
     retry_failed,
 )
+from repro.storage.columns import ColumnArenaWriter
 from repro.storage.repository import VideoRepository, _unique_safe_names
 from repro.storage.table import ClipScoreTable
 from repro.detectors.faults import FaultProfile, faulty_zoo
@@ -75,6 +75,22 @@ class BrokenVideo:
         raise RuntimeError("container is corrupt")
 
 
+def dying_writer(after: int):
+    """A format-3 arena writer that is killed on append number
+    ``after + 1``."""
+
+    class DyingWriter(ColumnArenaWriter):
+        appended = 0
+
+        def append(self, column):
+            if DyingWriter.appended >= after:
+                raise KeyboardInterrupt("killed mid-save")
+            DyingWriter.appended += 1
+            return super().append(column)
+
+    return DyingWriter
+
+
 class TestCrashDuringSave:
     def assert_same_repo(self, loaded: VideoRepository, n_clips: int = 6):
         assert set(loaded.video_ids) == {"a", "b"}
@@ -93,17 +109,10 @@ class TestCrashDuringSave:
         repo = self.repo()
         repo.save(target)
 
-        calls = {"n": 0}
-        real = np.savez_compressed
-
-        def dying(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise KeyboardInterrupt("killed mid-save")
-            return real(*args, **kwargs)
-
+        # Die inside the format-3 writer once the first video's eight
+        # columns (two tables x four) are in the arena.
         monkeypatch.setattr(
-            repository_module.np, "savez_compressed", dying
+            repository_module, "ColumnArenaWriter", dying_writer(after=8)
         )
         bigger = self.repo()
         bigger.add(fake_ingest("c"))
@@ -120,11 +129,8 @@ class TestCrashDuringSave:
     ):
         target = tmp_path / "repo"
 
-        def dying(*args, **kwargs):
-            raise KeyboardInterrupt("killed mid-save")
-
         monkeypatch.setattr(
-            repository_module.np, "savez_compressed", dying
+            repository_module, "ColumnArenaWriter", dying_writer(after=0)
         )
         with pytest.raises(KeyboardInterrupt):
             self.repo().save(target)
@@ -170,15 +176,15 @@ class TestTornStateDetection:
 
     def test_missing_data_file_rejected(self, tmp_path):
         _, target = self.saved(tmp_path)
-        (target / "a.npz").unlink()
+        (target / "columns.bin").unlink()
         with pytest.raises(StorageError, match="missing"):
             VideoRepository.load(target)
 
     def test_corrupted_data_file_rejected(self, tmp_path):
         _, target = self.saved(tmp_path)
-        blob = bytearray((target / "a.npz").read_bytes())
+        blob = bytearray((target / "columns.bin").read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        (target / "a.npz").write_bytes(bytes(blob))
+        (target / "columns.bin").write_bytes(bytes(blob))
         with pytest.raises(StorageError, match="checksum mismatch"):
             VideoRepository.load(target)
 
@@ -217,7 +223,7 @@ class TestSafeNameCollisions:
         target = tmp_path / "repo"
         repo.save(target)
         manifest = json.loads((target / "manifest.json").read_text())
-        assert manifest["videos"][0]["file"] == "a.npz"
+        assert manifest["videos"][0]["meta"] == "a.json"
 
 
 class TestIngestManyOutcomes:

@@ -138,62 +138,35 @@ class TestPersistence:
 
 
 class TestPersistenceFormats:
-    def test_save_writes_format_2(self, repo, tmp_path):
+    def test_save_writes_format_3(self, repo, tmp_path):
         import json
-
-        import numpy as np
 
         repo.save(tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["format"] == 2
-        arrays = np.load(tmp_path / "a.npz")
-        assert "obj_0_cids" in arrays and "obj_0_scores" in arrays
-        assert arrays["obj_0_cids"].dtype == np.int64
+        assert manifest["format"] == 3
+        assert (tmp_path / "columns.bin").stat().st_size == manifest["columns_size"]
+        meta = json.loads((tmp_path / "a.json").read_text())
+        assert set(meta["tables"]["obj"]["car"]) == {
+            "cids", "scores", "cids_by_cid", "scores_by_cid"
+        }
+        assert meta["tables"]["obj"]["car"]["cids"]["dtype"] == "int64"
 
-    def test_load_accepts_legacy_format_1(self, repo, tmp_path):
-        """A directory written in the pre-format-2 Nx2 layout still loads."""
-        import json
+    @pytest.mark.parametrize("fmt", [1, 2, 4])
+    def test_save_rejects_other_formats(self, repo, tmp_path, fmt):
+        with pytest.raises(StorageError, match="format"):
+            repo.save(tmp_path / "r", format=fmt)
+        assert not (tmp_path / "r").exists()
 
-        import numpy as np
-
-        repo.save(tmp_path)
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        (legacy / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "videos": [
-                        {"video_id": e["video_id"], "file": e["file"]}
-                        for e in manifest["videos"]
-                    ]
-                }
-            )
-        )
-        for entry in manifest["videos"]:
-            safe = entry["file"][:-4]
-            (legacy / f"{safe}.json").write_text(
-                (tmp_path / f"{safe}.json").read_text()
-            )
-            ingest = repo.ingest_of(entry["video_id"])
-            arrays = {}
-            for kind, tables in (
-                ("obj", ingest.object_tables),
-                ("act", ingest.action_tables),
-            ):
-                for i, table in enumerate(tables.values()):
-                    cids, scores = table.as_columns()
-                    arrays[f"{kind}_{i}"] = np.column_stack(
-                        [cids.astype(float), scores]
-                    )
-            np.savez_compressed(legacy / f"{safe}.npz", **arrays)
-        loaded = VideoRepository.load(legacy)
-        for video_id in repo.video_ids:
-            for label in repo.ingest_of(video_id).labels:
-                a = repo.ingest_of(video_id).table_for(label).as_columns()
-                b = loaded.ingest_of(video_id).table_for(label).as_columns()
-                assert a[0].tolist() == b[0].tolist()
-                assert a[1].tolist() == b[1].tolist()
+    def test_resave_is_byte_identical(self, repo, tmp_path):
+        """save → load → save reproduces every file byte for byte."""
+        repo.save(tmp_path / "a")
+        VideoRepository.load(tmp_path / "a").save(tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
 
 
 class TestToLocalBisect:
