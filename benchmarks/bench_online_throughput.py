@@ -5,7 +5,7 @@ A monitoring deployment runs many standing queries against one stream.  The
 serial reference executes each query in its own session with
 ``cache_detections=False`` — one ``score_clip`` model pass per evaluated
 predicate per clip, the pre-cache hot path.  The shared path runs the same
-fleet through :class:`repro.core.scheduler.MultiQueryScheduler`: all
+fleet through :func:`repro.core.scheduler.run_fleet`: all
 sessions advance clip-by-clip in lockstep over one
 :class:`~repro.detectors.cache.DetectionScoreCache`, so each frame/shot is
 scored at most once for the whole fleet.
@@ -54,7 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.config import OnlineConfig  # noqa: E402
 from repro.core.query import Query  # noqa: E402
-from repro.core.scheduler import MultiQueryScheduler, as_specs  # noqa: E402
+from repro.core.scheduler import as_specs, run_fleet  # noqa: E402
 from repro.core.session import StreamSession  # noqa: E402
 from repro.detectors.cost import CostMeter  # noqa: E402
 from repro.detectors.profiles import CENTERTRACK, I3D, MASK_RCNN  # noqa: E402
@@ -140,16 +140,11 @@ def run_shared(queries, video, *, dynamic: bool):
     SVAQD) one shared rate book — duplicate queries share a rate series."""
     zoo = default_zoo(seed=3)
     specs = as_specs(queries, algorithm="svaqd" if dynamic else "svaq")
-    scheduler = MultiQueryScheduler(zoo, specs)
     t0 = time.perf_counter()
-    fleet = scheduler.start(video)
-    stream = ClipStream(video.meta)
-    while not stream.end():
-        fleet.advance([stream.next()])
-    run = fleet.finish()
+    run = run_fleet(zoo, video, None, specs)
     wall = time.perf_counter() - t0
     results = [run[spec.name] for spec in specs]
-    return wall, results, zoo, fleet.rate_book_stats()
+    return wall, results, zoo, run.rate_sharing
 
 
 def assert_identical(serial_results, serial_zoo, shared_results, shared_zoo):

@@ -11,8 +11,8 @@ that finishes the runs.  Assertions, not timings, are the product:
   into exactly its final result (nothing lost, nothing doubled by the
   migration);
 * completed queries are result-identical to the batch
-  :class:`~repro.core.scheduler.MultiQueryScheduler` reference
-  (``run_queries`` path) on the same specs;
+  :func:`~repro.core.scheduler.run_fleet` reference (the
+  ``run_queries`` path) on the same specs;
 * the snapshotted source service is frozen and refuses to step;
 * admission slots drain back to zero when the streams end.
 
@@ -39,7 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.config import OnlineConfig  # noqa: E402
 from repro.core.query import Query  # noqa: E402
-from repro.core.scheduler import MultiQueryScheduler, QuerySpec  # noqa: E402
+from repro.core.scheduler import QuerySpec, run_fleet  # noqa: E402
 from repro.detectors.zoo import default_zoo  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.service import QueryService, ServiceClient  # noqa: E402
@@ -183,9 +183,9 @@ def run_smoke(profile_name: str, seed: int, out: Path) -> int:
         for stream in videos:
             stream_specs = [s for st, s in specs if st == stream
                             and s.name != "cut"]
-            reference = MultiQueryScheduler(
-                default_zoo(seed=3), stream_specs, config
-            ).run(videos[stream])
+            reference = run_fleet(
+                default_zoo(seed=3), videos[stream], config, stream_specs
+            )
             for spec in stream_specs:
                 assert finals[(stream, spec.name)].sequences == (
                     reference[spec.name].sequences

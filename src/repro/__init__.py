@@ -28,7 +28,6 @@ from repro.core import (
     RVAQ,
     SVAQ,
     SVAQD,
-    CompoundOnline,
     CompoundQuery,
     CompoundResult,
     DynamicQuotaPolicy,
@@ -37,7 +36,6 @@ from repro.core import (
     FleetRun,
     MaxScoring,
     MultiQueryRun,
-    MultiQueryScheduler,
     OfflineEngine,
     OnlineConfig,
     OnlineEngine,
@@ -53,6 +51,7 @@ from repro.core import (
     StreamSession,
     SvaqdSession,
     TopKResult,
+    run_fleet,
 )
 from repro.detectors import CostMeter, ModelZoo, default_zoo, ideal_zoo
 from repro.errors import ReproError
@@ -82,7 +81,7 @@ __all__ = [
     "RankingConfig",
     "OnlineEngine",
     "OfflineEngine",
-    "MultiQueryScheduler",
+    "run_fleet",
     "MultiQueryRun",
     "QuerySpec",
     "FleetRun",
@@ -95,7 +94,6 @@ __all__ = [
     "QuotaPolicy",
     "StaticQuotaPolicy",
     "DynamicQuotaPolicy",
-    "CompoundOnline",
     "CompoundResult",
     "RVAQ",
     "OnlineResult",

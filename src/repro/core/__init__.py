@@ -9,11 +9,12 @@ Public surface:
   streaming algorithms (Algorithms 1–3).
 * :class:`repro.core.rvaq.RVAQ` — offline top-K ranking (Algorithms 4–5),
   with the §5.1 baselines in :mod:`repro.core.baselines`.
+* :func:`repro.core.scheduler.run_fleet` — the one streaming driver: a
+  query fleet over one stream (a single query is a fleet of one).
 * :class:`repro.core.engine.OnlineEngine` /
   :class:`repro.core.engine.OfflineEngine` — high-level facades.
 """
 
-from repro.core.compound import CompoundOnline, CompoundResult
 from repro.core.config import OnlineConfig, RankingConfig
 from repro.core.context import ExecutionContext, ExecutionStats
 from repro.core.distributed import (
@@ -29,13 +30,14 @@ from repro.core.policies import (
     StaticQuotaPolicy,
 )
 from repro.core.query import CompoundQuery, Query
+from repro.core.results import CompoundResult
 from repro.core.rvaq import RVAQ, RankedSequence, TopKResult
 from repro.core.scheduler import (
     FleetRun,
     MultiQueryRun,
-    MultiQueryScheduler,
     QuerySpec,
     as_specs,
+    run_fleet,
 )
 from repro.core.scoring import MaxScoring, PaperScoring, ScoringScheme
 from repro.core.session import StreamSession, SvaqdSession
@@ -45,7 +47,6 @@ from repro.core.svaqd import SVAQD
 __all__ = [
     "Query",
     "CompoundQuery",
-    "CompoundOnline",
     "CompoundResult",
     "StreamSession",
     "SvaqdSession",
@@ -71,7 +72,7 @@ __all__ = [
     "MaxScoring",
     "OnlineEngine",
     "OfflineEngine",
-    "MultiQueryScheduler",
+    "run_fleet",
     "MultiQueryRun",
     "QuerySpec",
     "FleetRun",

@@ -125,14 +125,6 @@ class OnlineConfig:
     failure_policy: str = "fail_clip"
     #: Per-label overrides of ``failure_policy`` (label -> policy name).
     failure_policy_overrides: tuple[tuple[str, str], ...] = ()
-    #: Let a fleet share one kernel rate series per (canonical query shape,
-    #: registration position) across its SVAQD members — the estimator
-    #: analogue of ``cache_detections``.  Duplicate queries then pay one
-    #: Eq. 6 update and one quota refresh instead of N; results are
-    #: bit-identical because duplicates see identical outcomes.  Ignored
-    #: (sharing off) when :attr:`fault_tolerant` is armed, since degraded
-    #: clips can diverge per session.
-    share_rate_estimates: bool = True
 
     @property
     def fault_tolerant(self) -> bool:

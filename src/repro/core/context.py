@@ -1,6 +1,6 @@
 """Per-run execution accounting for the online pipeline.
 
-Every streaming run — SVAQ, SVAQD or the compound executor — flows through
+Every streaming run — SVAQ, SVAQD or a compound query — flows through
 one :class:`repro.core.session.StreamSession`, and every session charges
 its work to an :class:`ExecutionContext`: model invocations, predicate
 evaluations saved by short-circuiting, probe clips, quota refreshes and
@@ -18,10 +18,8 @@ whole query set.
 from __future__ import annotations
 
 from repro._typing import StateDict
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 #: Stage names used by :class:`repro.core.session.StreamSession`.
 STAGE_EVALUATE = "evaluate"
@@ -263,20 +261,11 @@ class ExecutionContext:
             self._stage_wall_s.get(stage, 0.0) + seconds
         )
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a pipeline stage: ``with context.stage("evaluate"): ...``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_stage_time(name, time.perf_counter() - start)
-
     def merge(self, other: "ExecutionContext | ExecutionStats") -> None:
         """Fold another context's (or snapshot's) counters into this one.
 
-        The thread-pool executor gives each video a private context and
-        merges them in insertion order afterwards, so shared accounting
+        A fleet gives each member session a private context and merges
+        them in registration order when it finishes, so shared accounting
         stays exact without per-increment locking.
         """
         self.clips_processed += other.clips_processed

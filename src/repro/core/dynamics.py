@@ -1,12 +1,12 @@
-"""Dynamic background-probability management shared by SVAQD and the
-compound-query executor.
+"""Dynamic background-probability management shared by SVAQD and dynamic
+compound queries.
 
 One :class:`QuotaManager` owns, per query predicate, a kernel rate
 estimator (§3.3) plus the critical-value tables for the detection quota
 (Eq. 5 at ``alpha``) and the lenient background quota (at
 ``alpha_background``).  The update policy — which clips count as null data
-— is documented on :meth:`QuotaManager.update`; SVAQD (Algorithm 3) and
-:class:`repro.core.compound.CompoundOnline` drive it identically.
+— is documented on :meth:`QuotaManager.update`; conjunctive (Algorithm 3)
+and compound sessions drive it identically.
 
 The estimators live in a :class:`repro.scanstats.kernel.KernelRateBank`
 (columnar NumPy state, one vectorised Eq. 6 pass per chunk) with
@@ -69,6 +69,9 @@ class RateUpdateSink(Protocol):
         units: np.ndarray,
         fold: np.ndarray,
     ) -> None: ...
+
+    def resync(self, manager: "QuotaManager") -> None:
+        """Adopt ``manager``'s bucket-skip memo after it reloads state."""
 
 
 @dataclass
@@ -219,14 +222,29 @@ class QuotaManager:
         """This manager's row span inside :attr:`bank`."""
         return range(self._row0, self._row0 + len(self._tracker_list))
 
-    def set_sink(self, sink: RateUpdateSink | None) -> None:
+    def set_sink(
+        self,
+        sink: RateUpdateSink | None,
+        *,
+        skip_bounds: tuple[list[float], list[float]] | None = None,
+    ) -> None:
         """Defer updates to ``sink`` (``None`` = apply immediately).
 
-        Switching modes invalidates the bucket-skip memo: while deferred,
-        quota refresh belongs to the sink, so the local memo may be stale.
+        While deferred, quota refresh belongs to the sink, so switching
+        modes resets the local bucket-skip memo: to ``skip_bounds`` when
+        the sink hands back its own memo for these rows, else to "recompute
+        everything".
         """
         self._sink = sink
-        self._invalidate_skip()
+        if skip_bounds is None:
+            self._invalidate_skip()
+        else:
+            self._rate_lo, self._rate_hi = skip_bounds
+
+    @property
+    def skip_bounds(self) -> tuple[list[float], list[float]]:
+        """The bucket-skip memo: each tracker's open rate interval."""
+        return list(self._rate_lo), list(self._rate_hi)
 
     def set_context(self, context: "ExecutionContext | None") -> None:
         """Attach the execution context charged for estimator/refresh time."""
@@ -333,6 +351,8 @@ class QuotaManager:
             )
         self._invalidate_skip()
         self.refresh_all()
+        if self._sink is not None:
+            self._sink.resync(self)
 
     # -- updates -----------------------------------------------------------------
 

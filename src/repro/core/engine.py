@@ -9,18 +9,13 @@ These are the objects the SQL layer's planner drives and the examples use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Sequence, TypeVar
-
-from typing import TYPE_CHECKING
+from typing import Iterable, Literal, Sequence
 
 from repro.core.baselines import fagin_baseline, pq_traverse, rvaq_noskip
 from repro.core.config import OnlineConfig, RankingConfig
 from repro.core.context import ExecutionContext
 from repro.core.query import CompoundQuery, Query
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.compound import CompoundResult
-    from repro.core.scheduler import FleetRun
+from repro.core.results import CompoundResult, OnlineResult
 from repro.core.distributed import (
     DEFAULT_ROUND_BUDGET,
     DistributedExecutor,
@@ -28,10 +23,8 @@ from repro.core.distributed import (
     sharded_top_k,
 )
 from repro.core.rvaq import RVAQ, TopKResult
-from repro.core.scheduler import MultiQueryRun, MultiQueryScheduler
+from repro.core.scheduler import MultiQueryRun, QuerySpec, as_specs, run_fleet
 from repro.core.scoring import PaperScoring, ScoringScheme
-from repro.core.svaq import SVAQ, OnlineResult
-from repro.core.svaqd import SVAQD
 from repro.detectors.zoo import ModelZoo, default_zoo
 from repro.errors import ConfigurationError, StorageError
 from repro.storage.ingest import (
@@ -43,12 +36,11 @@ from repro.storage.ingest import (
 )
 from repro.storage.repository import VideoRepository
 from repro.storage.sharded import ShardedRepository
+from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
 OnlineAlgorithm = Literal["svaq", "svaqd"]
 OfflineAlgorithm = Literal["rvaq", "rvaq-noskip", "fa", "pq-traverse"]
-Executor = Literal["serial", "thread"]
-R = TypeVar("R")
 
 
 @dataclass
@@ -60,53 +52,31 @@ class OnlineEngine:
 
     def run(
         self,
-        query: Query,
+        query: Query | CompoundQuery,
         video: LabeledVideo,
         algorithm: OnlineAlgorithm = "svaqd",
         *,
+        stream: ClipStream | None = None,
+        short_circuit: bool = True,
         context: ExecutionContext | None = None,
-    ) -> OnlineResult:
+    ) -> OnlineResult | CompoundResult:
         """Process one video stream and return its result sequences.
 
-        ``context`` threads shared execution counters through the run;
-        omit it and the result's ``stats`` carries a private snapshot.
+        ``query`` is a conjunctive :class:`~repro.core.query.Query` or a
+        CNF :class:`~repro.core.query.CompoundQuery` (OR / multi-action
+        forms, footnotes 3–4); it runs as a fleet of one.  ``context``
+        threads shared execution counters through the run; omit it and the
+        result's ``stats`` carries a private snapshot.
         """
-        if algorithm == "svaq":
-            return SVAQ(self.zoo, query, self.config).run(
-                video, context=context
-            )
-        if algorithm == "svaqd":
-            return SVAQD(self.zoo, query, self.config).run(
-                video, context=context
-            )
-        raise ConfigurationError(f"unknown online algorithm {algorithm!r}")
-
-    def run_many(
-        self,
-        query: Query,
-        videos: Iterable[LabeledVideo],
-        algorithm: OnlineAlgorithm = "svaqd",
-        *,
-        executor: Executor = "serial",
-        max_workers: int | None = None,
-        context: ExecutionContext | None = None,
-    ) -> dict[str, OnlineResult]:
-        """Process a collection of streams (e.g. one Table-1 query set).
-
-        ``executor="thread"`` fans the per-video runs out over a
-        :class:`~concurrent.futures.ThreadPoolExecutor`.  Results are
-        identical to the serial path (the simulated models are
-        deterministic per video) and returned in the videos' insertion
-        order either way.
-        """
-        return _fan_out(
-            lambda video, ctx: self.run(query, video, algorithm, context=ctx),
-            videos, executor, max_workers, context,
-        )
+        spec = QuerySpec("q0", query, algorithm=algorithm)
+        return run_fleet(
+            self.zoo, video, self.config, [spec],
+            stream=stream, short_circuit=short_circuit, context=context,
+        )["q0"]
 
     def run_queries(
         self,
-        queries: Iterable,
+        queries: Iterable[Query | CompoundQuery | QuerySpec],
         video: LabeledVideo,
         algorithm: OnlineAlgorithm = "svaqd",
         *,
@@ -124,123 +94,11 @@ class OnlineEngine:
         frame/shot is scored at most once for the whole fleet; results
         are identical to running each query alone.
         """
-        return self._fleet_scheduler(queries, algorithm).run(
-            video, short_circuit=short_circuit, context=context
-        )
-
-    def start_queries(
-        self,
-        queries: Iterable,
-        video: LabeledVideo,
-        algorithm: OnlineAlgorithm = "svaqd",
-        *,
-        start_clip: int = 0,
-    ) -> "FleetRun":
-        """An incremental fleet run over one stream — the service's path.
-
-        Unlike :meth:`run_queries`, the returned
-        :class:`~repro.core.scheduler.FleetRun` is driven by the caller:
-        feed clips through :meth:`~repro.core.scheduler.FleetRun.advance`,
-        register/cancel queries between steps, checkpoint mid-stream with
-        :meth:`~repro.core.scheduler.FleetRun.state_dict`.  ``queries``
-        may be empty — the service registers them live.
-        """
-        from repro.core.scheduler import FleetRun, as_specs
-
-        queries = list(queries)
-        specs = as_specs(queries, algorithm=algorithm) if queries else []
-        return FleetRun(
-            self.zoo, video, self.config, specs, start_clip=start_clip
-        )
-
-    def _fleet_scheduler(
-        self, queries: Iterable, algorithm: OnlineAlgorithm
-    ) -> MultiQueryScheduler:
-        from repro.core.scheduler import as_specs
-
-        return MultiQueryScheduler(
-            self.zoo,
+        return run_fleet(
+            self.zoo, video, self.config,
             as_specs(queries, algorithm=algorithm),
-            self.config,
+            short_circuit=short_circuit, context=context,
         )
-
-    def run_queries_many(
-        self,
-        queries: Iterable,
-        videos: Iterable[LabeledVideo],
-        algorithm: OnlineAlgorithm = "svaqd",
-        *,
-        executor: Executor = "serial",
-        max_workers: int | None = None,
-        short_circuit: bool = True,
-        context: ExecutionContext | None = None,
-    ) -> dict[str, MultiQueryRun]:
-        """The multi-query scheduler fanned across a video collection.
-
-        Each video gets its own shared detection cache and lockstep pass;
-        ``executor="thread"`` runs the per-video passes concurrently with
-        private contexts merged afterwards (insertion order), exactly as
-        :meth:`run_many` does.  Returns ``{video_id: MultiQueryRun}`` in
-        input order.
-        """
-        scheduler = self._fleet_scheduler(queries, algorithm)
-        return _fan_out(
-            lambda video, ctx: scheduler.run(
-                video, short_circuit=short_circuit, context=ctx
-            ),
-            videos, executor, max_workers, context,
-        )
-
-    def run_compound(
-        self,
-        compound: "CompoundQuery",
-        video: LabeledVideo,
-        algorithm: OnlineAlgorithm = "svaqd",
-        *,
-        context: ExecutionContext | None = None,
-    ) -> "CompoundResult":
-        """Process a CNF query (OR / multi-action forms, footnotes 3–4)."""
-        from repro.core.compound import CompoundOnline
-
-        return CompoundOnline(
-            self.zoo, compound, self.config, dynamic=(algorithm == "svaqd")
-        ).run(video, context=context)
-
-
-def _fan_out(
-    run_one: Callable[[LabeledVideo, ExecutionContext | None], R],
-    videos: Iterable[LabeledVideo],
-    executor: Executor,
-    max_workers: int | None,
-    context: ExecutionContext | None,
-) -> dict[str, R]:
-    """``{video_id: run_one(video, ctx)}`` in the videos' insertion order.
-
-    Serially every run shares ``context``.  Over threads each video gets
-    a private context, merged into ``context`` afterwards in insertion
-    order, which keeps shared counters exact without per-increment
-    locking across the pool.
-    """
-    videos = list(videos)
-    if executor == "serial":
-        return {video.video_id: run_one(video, context) for video in videos}
-    if executor != "thread":
-        raise ConfigurationError(f"unknown executor {executor!r}")
-    from concurrent.futures import ThreadPoolExecutor
-
-    locals_ = [
-        ExecutionContext() if context is not None else None for _ in videos
-    ]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(run_one, video, local)
-            for video, local in zip(videos, locals_)
-        ]
-        results = [future.result() for future in futures]
-    if context is not None:
-        for local in locals_:
-            context.merge(local)
-    return {video.video_id: result for video, result in zip(videos, results)}
 
 
 @dataclass

@@ -7,7 +7,7 @@ from*.  :class:`StaticQuotaPolicy` fixes them once from the a-priori
 per clip from kernel-estimated background probabilities (Algorithm 3,
 wrapping :class:`repro.core.dynamics.QuotaManager`).  The unified
 :class:`repro.core.session.StreamSession` is parameterised by a policy, so
-the same pipeline serves both algorithms and the compound executor.
+the same pipeline serves both algorithms and compound queries.
 
 Both policies checkpoint: :meth:`QuotaPolicy.state_dict` /
 :meth:`QuotaPolicy.load_state_dict` round-trip through JSON, which is what

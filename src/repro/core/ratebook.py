@@ -261,17 +261,17 @@ class SharedRateBook:
             manager = QuotaManager(
                 frames, actions, geometry, config, bank=self._bank
             )
+            # The manager's constructor refresh already set its quotas;
+            # its skip memo carries over, so the first flush skips what a
+            # solo manager's first update would.
+            lo, hi = manager.skip_bounds
             manager.set_sink(self)
             rows = manager.bank_rows
             self._row_trackers.extend(
                 manager.tracker(label) for label in manager.labels()
             )
-            self._rate_lo = np.concatenate(
-                [self._rate_lo, np.full(len(rows), np.inf)]
-            )
-            self._rate_hi = np.concatenate(
-                [self._rate_hi, np.full(len(rows), -np.inf)]
-            )
+            self._rate_lo = np.concatenate([self._rate_lo, lo])
+            self._rate_hi = np.concatenate([self._rate_hi, hi])
             self._live_rows += len(rows)
             group = _RateGroup(
                 key=key, manager=manager, frame_labels=frames,
@@ -323,7 +323,23 @@ class SharedRateBook:
         """
         self.flush()
         for group in self._groups.values():
-            group.manager.set_sink(None)
+            rows = group.manager.bank_rows
+            span = slice(rows.start, rows.stop)
+            group.manager.set_sink(
+                None,
+                skip_bounds=(
+                    self._rate_lo[span].tolist(),
+                    self._rate_hi[span].tolist(),
+                ),
+            )
+
+    def resync(self, manager: QuotaManager) -> None:
+        """Adopt ``manager``'s bucket-skip memo for its rows: a restored
+        member's reload leaves the book's rows on the prior's bucket."""
+        rows = manager.bank_rows
+        lo, hi = manager.skip_bounds
+        self._rate_lo[rows.start:rows.stop] = lo
+        self._rate_hi[rows.start:rows.stop] = hi
 
     # -- per-clip updates --------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Both streaming result shapes live here — :class:`OnlineResult` for
 conjunctive queries (SVAQ / SVAQD) and :class:`CompoundResult` for CNF
 queries — so that the session layer can construct them without importing
-the algorithm drivers.  ``repro.core.svaq`` and ``repro.core.compound``
-re-export them under their historical names.
+the algorithm drivers.  ``repro.core.svaq`` re-exports
+:class:`OnlineResult` under its historical name.
 """
 
 from __future__ import annotations

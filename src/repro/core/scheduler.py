@@ -21,26 +21,29 @@ cache hits.  Results are bit-identical to running each session alone
 (sessions never observe each other — only the cache is shared, and counts
 are deterministic).
 
-:class:`MultiQueryScheduler` is the batch driver over that core —
-construct with a fixed fleet, :meth:`~MultiQueryScheduler.run` per video —
-and is what :meth:`repro.core.engine.OnlineEngine.run_queries` wraps.  The
-streaming query service (:mod:`repro.service`) drives :class:`FleetRun`
-directly, including its fleet-level checkpoint
-(:meth:`FleetRun.state_dict` / :meth:`FleetRun.load_state_dict`) which
-bundles every live session, its execution counters and the shared cache's
-charge state for mid-stream migration.
+:func:`run_fleet` is the one batch driver over that core: it starts a
+fleet at the stream's position, advances it to the end and finishes.
+Every online entry point runs through it — ``SVAQ.run``, ``SVAQD.run``
+and :meth:`repro.core.engine.OnlineEngine.run` as a fleet of one,
+:meth:`~repro.core.engine.OnlineEngine.run_queries` and the ingest
+phase as larger fleets.  The streaming query service
+(:mod:`repro.service`) drives :class:`FleetRun` directly, including its
+fleet-level checkpoint (:meth:`FleetRun.state_dict` /
+:meth:`FleetRun.load_state_dict`) which bundles every live session, its
+execution counters and the shared cache's charge state for mid-stream
+migration.
 
 Each session charges a private :class:`~repro.core.context.ExecutionContext`
-so its result carries exact per-query stats; the privates are merged into
-the caller's context afterwards, mirroring the thread-executor accounting
-of :meth:`repro.core.engine.OnlineEngine.run_many`.
+so its result carries exact per-query stats; :meth:`FleetRun.finish`
+merges the privates, plus the fleet rate book's own counters, into the
+caller's context.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Container, Iterable, Mapping, Sequence
 
 from repro.core.config import OnlineConfig
 from repro.core.context import (
@@ -66,8 +69,8 @@ from repro._typing import StateDict
 __all__ = [
     "QuerySpec",
     "MultiQueryRun",
-    "MultiQueryScheduler",
     "FleetRun",
+    "run_fleet",
     "as_specs",
     "spec_to_dict",
     "spec_from_dict",
@@ -112,21 +115,39 @@ class QuerySpec:
             raise ConfigurationError(f"invalid query name {self.name!r}")
 
 
+def _auto_name(taken: Container[str], start: int = 0) -> str:
+    """The lowest free auto-name ``q<n>`` (``n >= start``) not in ``taken``.
+
+    The one naming rule for bare queries: :func:`as_specs` and
+    :meth:`FleetRun.register` both use it.  ``start`` only skips a prefix
+    the caller knows is taken.
+    """
+    n = start
+    while f"q{n}" in taken:
+        n += 1
+    return f"q{n}"
+
+
 def as_specs(
     queries: Iterable[Any], *, algorithm: str = "svaqd"
 ) -> list[QuerySpec]:
     """Normalise a mixed list of specs/queries to named :class:`QuerySpec`s.
 
-    Bare queries are wrapped with auto-assigned names ``q0, q1, ...`` (by
-    input position) and the given default ``algorithm``; existing specs
-    pass through untouched.  Duplicate names are rejected.
+    Bare queries get the lowest free name ``q<n>`` (:func:`_auto_name`) in
+    list order, skipping the list's explicit names, and the given default
+    ``algorithm``; existing specs pass through untouched.  Duplicate
+    explicit names are rejected.
     """
+    items = list(queries)
+    taken = {item.name for item in items if isinstance(item, QuerySpec)}
     specs: list[QuerySpec] = []
-    for index, item in enumerate(queries):
+    for item in items:
         if isinstance(item, QuerySpec):
             specs.append(item)
         elif isinstance(item, (Query, CompoundQuery)):
-            specs.append(QuerySpec(f"q{index}", item, algorithm=algorithm))
+            name = _auto_name(taken)
+            taken.add(name)
+            specs.append(QuerySpec(name, item, algorithm=algorithm))
         else:
             raise ConfigurationError(
                 f"expected Query, CompoundQuery or QuerySpec; got {item!r}"
@@ -225,11 +246,13 @@ class MultiQueryRun:
     :class:`~repro.core.results.OnlineResult` /
     :class:`~repro.core.results.CompoundResult`; every result's ``stats``
     is that query's private per-session snapshot, so fresh-vs-cached
-    accounting is visible per query.
+    accounting is visible per query.  ``rate_sharing`` holds the fleet
+    rate book's final counters (:meth:`FleetRun.rate_book_stats`).
     """
 
     video_id: str
     results: dict[str, Any] = field(default_factory=dict)
+    rate_sharing: dict[str, float] | None = None
 
     def __getitem__(self, name: str) -> Any:
         return self.results[name]
@@ -239,17 +262,17 @@ class FleetRun:
     """Incremental lockstep execution of a dynamic query fleet over one
     video stream.
 
-    One ``FleetRun`` owns the per-video execution state the batch
-    :meth:`MultiQueryScheduler.run` used to keep in local variables: the
-    live sessions, their private contexts, the shared detection cache and
-    the stream cursor.  Feed clips through :meth:`advance`; between steps,
-    :meth:`register` admits a new standing query (it starts at the current
-    position) and :meth:`cancel` retires one, returning its result over
-    the clips it observed.  Per clip, every session evaluates before the
-    stream moves on, in registration order — charging order (who pays
-    fresh model units, who meters cache hits) is deterministic, and a
-    cancelled session simply stops charging (later sessions then pay fresh
-    where it would have; totals per workload are unchanged).
+    One ``FleetRun`` owns the per-video execution state: the live
+    sessions, their private contexts, the shared detection cache, the
+    shared rate book and the stream cursor.  Feed clips through
+    :meth:`advance`; between steps, :meth:`register` admits a new
+    standing query (it starts at the current position) and :meth:`cancel`
+    retires one, returning its result over the clips it observed.  Per
+    clip, every session evaluates before the stream moves on, in
+    registration order — charging order (who pays fresh model units, who
+    meters cache hits) is deterministic, and a cancelled session simply
+    stops charging (later sessions then pay fresh where it would have;
+    totals per workload are unchanged).
 
     Query names are unique for the lifetime of the run, across live *and*
     retired queries, so results and subscriptions are unambiguous.
@@ -308,10 +331,7 @@ class FleetRun:
         # Fault tolerance can degrade clips per session, breaking the
         # identical-outcomes premise, so sharing disarms with it.
         self._rate_book = (
-            SharedRateBook()
-            if self._config.share_rate_estimates
-            and not self._config.fault_tolerant
-            else None
+            None if self._config.fault_tolerant else SharedRateBook()
         )
         self._sessions: dict[str, StreamSession] = {}
         self._specs: dict[str, QuerySpec] = {}
@@ -319,10 +339,14 @@ class FleetRun:
         self._results: dict[str, Any] = {}
         self._order: list[str] = []
         self._position = start_clip
+        #: Scan start for :func:`_auto_name`: every ``q<k>`` with
+        #: ``k < _auto_counter`` is taken (names stay reserved for the
+        #: lifetime of the run), so the scan still finds the lowest free.
         self._auto_counter = 0
         self._finished = False
-        for item in queries:
-            self.register(item)
+        queries = list(queries)
+        for spec in as_specs(queries) if queries else ():
+            self.register(spec)
 
     # -- introspection -----------------------------------------------------------
 
@@ -342,15 +366,10 @@ class FleetRun:
 
     def rate_book_stats(self) -> dict[str, float] | None:
         """Sharing counters of the fleet's rate book (``None`` when
-        sharing is off — disabled by config or armed fault tolerance)."""
+        armed fault tolerance turns sharing off)."""
         if self._rate_book is None:
             return None
         return self._rate_book.stats()
-
-    @property
-    def specs(self) -> tuple[QuerySpec, ...]:
-        """Specs of the live queries, in registration order."""
-        return tuple(self._specs.values())
 
     def names(self) -> tuple[str, ...]:
         """Every query this run ever admitted (live and retired)."""
@@ -358,19 +377,7 @@ class FleetRun:
 
     def next_auto_name(self) -> str:
         """The name the next bare-query registration would receive."""
-        counter = self._auto_counter
-        while f"q{counter}" in self._contexts:
-            counter += 1
-        return f"q{counter}"
-
-    def spec(self, name: str) -> QuerySpec:
-        """The spec of one live query."""
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"no live query named {name!r}; have {sorted(self._specs)}"
-            ) from None
+        return _auto_name(self._contexts, self._auto_counter)
 
     def session(self, name: str) -> StreamSession:
         try:
@@ -396,17 +403,22 @@ class FleetRun:
         item: Any,
         *,
         on_sequence: Callable[[Interval], None] | None = None,
+        record_trace: bool = False,
     ) -> str:
         """Admit one standing query; returns its (unique) name.
 
         ``item`` is a :class:`QuerySpec`, or a bare :class:`Query` /
-        :class:`CompoundQuery` auto-named ``q<n>`` from a monotone
-        counter.  The new session starts observing at the current stream
-        position — its result covers exactly the clips it saw.  A name
-        already used by a live *or* retired query of this run raises
-        :class:`~repro.errors.ConfigurationError` naming the duplicate.
-        ``on_sequence`` subscribes to the query's result sequences as they
-        close (see :meth:`StreamSession.set_emit_callback`).
+        :class:`CompoundQuery` given the lowest free name ``q<n>``
+        (:meth:`next_auto_name`).  The new session starts observing at the
+        current stream position — its result covers exactly the clips it
+        saw.  A name already used by a live *or* retired query of this run
+        raises :class:`~repro.errors.ConfigurationError` naming the
+        duplicate.  ``on_sequence`` subscribes to the query's result
+        sequences as they close (see
+        :meth:`StreamSession.set_emit_callback`); ``record_trace`` keeps
+        the critical values in force at every clip on the result's
+        ``k_crit_trace``.  Both are runtime wiring, not fleet state: a
+        checkpoint carries neither.
         """
         if self._finished:
             raise ConfigurationError(
@@ -415,10 +427,8 @@ class FleetRun:
         if isinstance(item, QuerySpec):
             spec = item
         elif isinstance(item, (Query, CompoundQuery)):
-            while f"q{self._auto_counter}" in self._contexts:
-                self._auto_counter += 1
-            spec = QuerySpec(f"q{self._auto_counter}", item)
-            self._auto_counter += 1
+            spec = QuerySpec(self.next_auto_name(), item)
+            self._auto_counter = int(spec.name[1:]) + 1
         else:
             raise ConfigurationError(
                 f"expected Query, CompoundQuery or QuerySpec; got {item!r}"
@@ -429,7 +439,7 @@ class FleetRun:
                 f"duplicate query name {spec.name!r} "
                 f"(already {state} on this stream)"
             )
-        session = self._build_session(spec)
+        session = self._build_session(spec, record_trace=record_trace)
         if on_sequence is not None:
             session.set_emit_callback(on_sequence)
         self._specs[spec.name] = spec
@@ -439,7 +449,9 @@ class FleetRun:
         self._push_label_sharing()
         return spec.name
 
-    def _build_session(self, spec: QuerySpec) -> StreamSession:
+    def _build_session(
+        self, spec: QuerySpec, *, record_trace: bool
+    ) -> StreamSession:
         dynamic = spec.algorithm == "svaqd"
         builder = (
             StreamSession.for_compound
@@ -456,6 +468,7 @@ class FleetRun:
             self._zoo, spec.query, self._video, self._config,
             dynamic=dynamic,
             k_crit_overrides=spec.k_crit_overrides,
+            record_trace=record_trace,
             context=ExecutionContext(),
             cache=self._cache,
             rate_book=rate_book,
@@ -559,37 +572,46 @@ class FleetRun:
 
         The returned :class:`MultiQueryRun` covers every query the run
         ever admitted — cancelled ones with their mid-stream results — in
-        registration order.  ``context`` receives the merged counters of
-        all sessions (cancelled included); per-query stats live on each
-        result.
+        registration order; per-query stats live on each result.  On the
+        call that finishes the run, ``context`` receives the merged
+        counters of all sessions (cancelled included) plus the rate
+        book's bucket skips and estimator/refresh wall time, which belong
+        to no single query.  Later calls return the same results and
+        merge nothing, so a context is never charged twice.
         """
         if not self._finished:
-            if self._rate_book is not None:
+            book = self._rate_book
+            if book is not None:
                 # Owners finish first (they registered first), so sealing
                 # to immediate mode lets each group's final quota update
                 # land on the shared rows before later members read their
                 # final rates — exactly the serial finish sequence.
-                self._rate_book.seal()
-                # The book's fold/refresh wall time belongs to no single
-                # query context, so itemise it on the fleet's shared cost
-                # meter next to the inference charges.
+                book.seal()
+                # Itemise the book's wall time on the fleet's shared cost
+                # meter too, next to the inference charges.
                 meter = self._zoo.cost_meter
-                meter.record_stage(
-                    STAGE_ESTIMATOR, self._rate_book.estimator_s
-                )
-                meter.record_stage(STAGE_REFRESH, self._rate_book.refresh_s)
+                meter.record_stage(STAGE_ESTIMATOR, book.estimator_s)
+                meter.record_stage(STAGE_REFRESH, book.refresh_s)
             for name in list(self._sessions):
                 session = self._sessions.pop(name)
                 session.drain()
                 self._results[name] = session.finish()
                 del self._specs[name]
             self._finished = True
-        if context is not None:
-            for name in self._order:
-                context.merge(self._contexts[name])
+            if context is not None:
+                for name in self._order:
+                    context.merge(self._contexts[name])
+                if book is not None:
+                    context.refresh_skipped += book.refresh_skipped
+                # A book no member ever fed (an all-SVAQ fleet) adds no
+                # stages, as a solo SVAQ session reports none.
+                if book is not None and (book.estimator_s or book.refresh_s):
+                    context.add_stage_time(STAGE_ESTIMATOR, book.estimator_s)
+                    context.add_stage_time(STAGE_REFRESH, book.refresh_s)
         return MultiQueryRun(
             video_id=self._video.video_id,
             results={name: self._results[name] for name in self._order},
+            rate_sharing=self.rate_book_stats(),
         )
 
     # -- checkpointing -----------------------------------------------------------
@@ -614,7 +636,9 @@ class FleetRun:
             "chunk_clips": (
                 self._cache.chunk_clips if self._cache is not None else None
             ),
-            "retired": sorted(self._results),
+            "retired": sorted(
+                name for name in self._contexts if name not in self._sessions
+            ),
             "rate_book": (
                 self._rate_book.state_dict()
                 if self._rate_book is not None
@@ -697,62 +721,32 @@ class FleetRun:
         return self
 
 
-class MultiQueryScheduler:
-    """Batch driver over :class:`FleetRun` for a fixed query fleet.
+def run_fleet(
+    zoo: ModelZoo,
+    video: LabeledVideo,
+    config: OnlineConfig | None,
+    queries: Iterable[Any],
+    *,
+    stream: ClipStream | None = None,
+    short_circuit: bool = True,
+    context: ExecutionContext | None = None,
+    record_trace: bool = False,
+) -> MultiQueryRun:
+    """Run a fixed query fleet over one stream, start to end.
 
-    Construct once per fleet; :meth:`run` per video.  Each run starts a
-    fresh :class:`FleetRun` (building or accepting one
-    :class:`DetectionScoreCache` for the video), streams every clip
-    through it and finishes.  :meth:`start` hands out the incremental run
-    itself for callers that interleave stepping with registration —
-    the streaming service's path.
+    The one clip-draining loop of the online engine.  ``queries`` is
+    normalised by :func:`as_specs`; the fleet starts at ``stream``'s
+    position (the whole video when omitted), advances one clip at a time
+    — per clip, every session evaluates before the stream moves on, so
+    the cache chunk a clip lands in is materialised once and hot for all
+    N sessions — and finishes into ``context`` (see
+    :meth:`FleetRun.finish`).  ``record_trace`` registers every query
+    with a critical-value trace.
     """
-
-    def __init__(
-        self,
-        zoo: ModelZoo,
-        queries: Iterable[Any],
-        config: OnlineConfig | None = None,
-    ) -> None:
-        self._zoo = zoo
-        self._config = config or OnlineConfig()
-        self._specs = as_specs(queries)
-
-    @property
-    def specs(self) -> tuple[QuerySpec, ...]:
-        return tuple(self._specs)
-
-    def start(
-        self,
-        video: LabeledVideo,
-        *,
-        cache: DetectionScoreCache | None = None,
-        start_clip: int = 0,
-    ) -> FleetRun:
-        """An incremental :class:`FleetRun` over this scheduler's fleet."""
-        return FleetRun(
-            self._zoo, video, self._config, self._specs,
-            cache=cache, start_clip=start_clip,
-        )
-
-    def run(
-        self,
-        video: LabeledVideo,
-        *,
-        stream: ClipStream | None = None,
-        short_circuit: bool = True,
-        context: ExecutionContext | None = None,
-        cache: DetectionScoreCache | None = None,
-    ) -> MultiQueryRun:
-        """Advance every query over the video's stream in lockstep.
-
-        Per clip, every session evaluates before the stream moves on —
-        the cache chunk a clip lands in is materialised once and hot for
-        all N sessions.  ``context`` receives the merged counters of all
-        sessions; per-query stats live on each result.
-        """
-        clips = stream if stream is not None else ClipStream(video.meta)
-        run = self.start(video, cache=cache, start_clip=clips.position)
-        while not clips.end():
-            run.advance([clips.next()], short_circuit=short_circuit)
-        return run.finish(context=context)
+    clips = stream if stream is not None else ClipStream(video.meta)
+    fleet = FleetRun(zoo, video, config, start_clip=clips.position)
+    for spec in as_specs(queries):
+        fleet.register(spec, record_trace=record_trace)
+    while not clips.end():
+        fleet.advance([clips.next()], short_circuit=short_circuit)
+    return fleet.finish(context=context)

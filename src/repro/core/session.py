@@ -1,7 +1,7 @@
 """The unified, resumable streaming session.
 
 Every online algorithm in the paper — SVAQ (Alg. 1+2), SVAQD (Alg. 3) and
-the footnote-3/4 compound executor — is one conceptual pipeline::
+footnote-3/4 compound queries — is one conceptual pipeline::
 
     evaluate clip  →  update quotas  →  assemble sequences
 
@@ -13,8 +13,11 @@ parameterised along the two axes the algorithms actually differ on:
 * a **clip predicate** (:mod:`repro.core.predicates`) — conjunctive
   Algorithm-2 evaluation or CNF clause evaluation.
 
-``SVAQ.run``, ``SVAQD.run`` and ``CompoundOnline.run`` are thin drivers
-over this class.  Because the session is the single execution path, the
+Every online entry point — ``SVAQ.run``, ``SVAQD.run``,
+``OnlineEngine.run`` and ``run_queries``, the ingest phase and the
+streaming service — advances sessions of this class through
+:class:`repro.core.scheduler.FleetRun` (a single query is a fleet of
+one).  Because the session is the single execution path, the
 cross-cutting machinery lives here exactly once: checkpoint/resume
 (:meth:`state_dict` / :meth:`load_state_dict`) works for *all* online
 algorithms, per-stage accounting flows into one
@@ -245,8 +248,8 @@ class StreamSession:
         (Algorithm 1) with critical values fixed from the configured ``p₀``
         or pinned per label via ``k_crit_overrides``.  ``cache`` attaches a
         shared :class:`~repro.detectors.cache.DetectionScoreCache` so many
-        sessions over one stream score each clip at most once (the
-        multi-query scheduler passes one per video).  ``rate_book`` plus a
+        sessions over one stream score each clip at most once (a
+        :class:`~repro.core.scheduler.FleetRun` passes one per video).  ``rate_book`` plus a
         ``share_key`` of ``(member name, group key)`` analogously attaches
         the fleet's shared rate estimators: dynamic sessions admitted under
         the same group key share one rate series and quota refresh.
@@ -445,12 +448,6 @@ class StreamSession:
         service health endpoint)."""
         return self._optimizer.selectivity_estimates()
 
-    def unit_cost_estimates(self) -> dict[str, float] | None:
-        """Per-label expected fresh cost of one clip evaluation in
-        simulated ms, or ``None`` when the predicate carries no cost
-        signal (CNF)."""
-        return self._optimizer.unit_costs_ms()
-
     @property
     def chunkable(self) -> bool:
         """Whether this session runs the chunked static-quota fast path
@@ -475,10 +472,9 @@ class StreamSession:
     ) -> ClipEvaluation | None:
         """Evaluate one clip and fold it into the session state.
 
-        Stage timing is inlined (``perf_counter`` pairs rather than the
-        ``ExecutionContext.stage`` context manager) — the accounting is
-        identical but this method runs once per clip per session and the
-        generator machinery was a measurable share of it.
+        Stage timing is inlined as ``perf_counter`` pairs: this method
+        runs once per clip per session, where a context-manager timer was
+        a measurable share of it.
         """
         if self._finished:
             raise ConfigurationError("session already finished")

@@ -7,9 +7,9 @@ Algorithm 2, merging positive clips into result sequences (Eq. 4).  Its
 accuracy therefore depends on how well the assumed ``p₀`` matches the
 stream — the sensitivity the paper's Figure 2 quantifies and SVAQD removes.
 
-Execution is delegated to the unified :class:`repro.core.session.StreamSession`
-with a :class:`repro.core.policies.StaticQuotaPolicy`; ``SVAQ.run`` is a
-thin stream-driving loop over it.
+Execution is the unified :class:`repro.core.session.StreamSession` with a
+:class:`repro.core.policies.StaticQuotaPolicy`; ``SVAQ.run`` drives it as
+a fleet of one through :func:`repro.core.scheduler.run_fleet`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.core.context import ExecutionContext
 from repro.core.policies import derive_static_quotas
 from repro.core.query import Query
 from repro.core.results import OnlineResult
-from repro.core.session import StreamSession
+from repro.core.scheduler import QuerySpec, run_fleet
 from repro.detectors.zoo import ModelZoo
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
@@ -58,25 +58,6 @@ class SVAQ:
             overrides=self.k_crit_overrides,
         )
 
-    def session(
-        self,
-        video: LabeledVideo,
-        *,
-        record_trace: bool = False,
-        context: ExecutionContext | None = None,
-    ) -> StreamSession:
-        """An incremental (checkpointable) session for one stream."""
-        return StreamSession.for_query(
-            self.zoo,
-            self.query,
-            video,
-            self.config,
-            dynamic=False,
-            k_crit_overrides=self.k_crit_overrides,
-            record_trace=record_trace,
-            context=context,
-        )
-
     def run(
         self,
         video: LabeledVideo,
@@ -86,8 +67,11 @@ class SVAQ:
         context: ExecutionContext | None = None,
     ) -> OnlineResult:
         """Process a stream and return the result sequences (Eq. 4)."""
-        session = self.session(video, context=context)
-        clips = stream if stream is not None else ClipStream(video.meta)
-        while not clips.end():
-            session.process(clips.next(), short_circuit=short_circuit)
-        return session.finish()
+        spec = QuerySpec(
+            "q0", self.query, algorithm="svaq",
+            k_crit_overrides=self.k_crit_overrides,
+        )
+        return run_fleet(
+            self.zoo, video, self.config, [spec],
+            stream=stream, short_circuit=short_circuit, context=context,
+        )["q0"]

@@ -22,8 +22,9 @@ Three implementation decisions the paper leaves open, all configurable via
 
 The quota machinery lives in :mod:`repro.core.dynamics` behind
 :class:`repro.core.policies.DynamicQuotaPolicy`; execution is the unified
-:class:`repro.core.session.StreamSession`, shared with SVAQ and the
-compound-query executor.
+:class:`repro.core.session.StreamSession`, shared with SVAQ and compound
+queries, driven as a fleet of one through
+:func:`repro.core.scheduler.run_fleet`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionContext
 from repro.core.query import Query
 from repro.core.results import OnlineResult
-from repro.core.session import StreamSession
+from repro.core.scheduler import QuerySpec, run_fleet
 from repro.detectors.zoo import ModelZoo
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
@@ -49,24 +50,6 @@ class SVAQD:
     zoo: ModelZoo
     query: Query
     config: OnlineConfig = field(default_factory=OnlineConfig)
-
-    def session(
-        self,
-        video: LabeledVideo,
-        *,
-        record_trace: bool = False,
-        context: ExecutionContext | None = None,
-    ) -> StreamSession:
-        """An incremental (checkpointable) session for one stream."""
-        return StreamSession.for_query(
-            self.zoo,
-            self.query,
-            video,
-            self.config,
-            dynamic=True,
-            record_trace=record_trace,
-            context=context,
-        )
 
     def run(
         self,
@@ -83,10 +66,8 @@ class SVAQD:
         clip (used by the adaptivity experiments); it costs memory
         proportional to the number of clips.
         """
-        session = self.session(
-            video, record_trace=record_trace, context=context
-        )
-        clips = stream if stream is not None else ClipStream(video.meta)
-        while not clips.end():
-            session.process(clips.next(), short_circuit=short_circuit)
-        return session.finish()
+        return run_fleet(
+            self.zoo, video, self.config, [QuerySpec("q0", self.query)],
+            stream=stream, short_circuit=short_circuit, context=context,
+            record_trace=record_trace,
+        )["q0"]

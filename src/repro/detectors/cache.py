@@ -66,10 +66,10 @@ class DetectionScoreCache:
 
     One cache serves any number of sessions over the same video, provided
     they agree on the detection thresholds (validated when an evaluator
-    attaches).  Materialisation is guarded by a lock so the thread
-    executor of :meth:`repro.core.engine.OnlineEngine.run_queries_many`
-    could share one safely, though the intended deployment is one cache
-    per video stream.
+    attaches).  Materialisation is guarded by a lock, so a reader on
+    another thread never sees a half-built chunk; the charge bookkeeping
+    is not, and the package never shares a cache across threads — each
+    fleet, and each parallel ingest worker, owns one per video stream.
     """
 
     #: Not checkpointed (RL002): the zoo/video/truth handles and the

@@ -20,9 +20,10 @@ from repro._typing import StateDict
 class CostMeter:
     """Accumulates simulated inference milliseconds per model.
 
-    Recording is guarded by a lock so one meter can be shared by the
-    thread-pool executor of :meth:`repro.core.engine.OnlineEngine.run_many`
-    without losing charges to read-modify-write races.
+    Recording is guarded by a lock so a meter shared across threads never
+    loses charges to read-modify-write races.  The package's own parallel
+    executors (:func:`repro.storage.ingest.ingest_many`) give each worker a
+    forked zoo and fold the charges back with :meth:`merge`.
     """
 
     _ms: dict[str, float] = field(default_factory=lambda: defaultdict(float))

@@ -20,8 +20,8 @@ Everything runs on one event loop thread: :meth:`step` advances one clip
 batch synchronously, and :meth:`serve` yields control between batches
 (``await asyncio.sleep(0)``), so registration, cancellation and
 subscription calls interleave with stream progress without locks — and
-results stay bit-identical to the batch :meth:`OnlineEngine.run_queries`
-path, which the CI smoke asserts.
+results stay bit-identical to the batch
+:func:`repro.core.scheduler.run_fleet` path, which the CI smoke asserts.
 """
 
 from __future__ import annotations

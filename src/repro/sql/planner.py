@@ -27,8 +27,7 @@ from repro.sql.ast import (
 from repro.video.synthesis import LabeledVideo
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.compound import CompoundResult
-    from repro.core.results import OnlineResult
+    from repro.core.results import CompoundResult, OnlineResult
 
 
 @dataclass(frozen=True)
@@ -50,19 +49,14 @@ class Plan:
         *,
         context: ExecutionContext | None = None,
     ) -> "OnlineResult | CompoundResult":
-        """Run an online plan; OR queries execute through the compound
-        (CNF) engine and return its :class:`CompoundResult`.  ``context``
-        collects per-stage execution counters across the run."""
+        """Run an online plan; OR queries run as CNF compound queries and
+        return a :class:`CompoundResult`.  ``context`` collects per-stage
+        execution counters across the run."""
         if self.mode != "online":
             raise PlanningError("plan is offline; use execute_offline")
-        if self.query is not None:
-            return engine.run(
-                self.query, video, algorithm=algorithm, context=context
-            )
-        assert self.compound is not None
-        return engine.run_compound(
-            self.compound, video, algorithm=algorithm, context=context
-        )
+        query = self.query if self.query is not None else self.compound
+        assert query is not None
+        return engine.run(query, video, algorithm=algorithm, context=context)
 
     def execute_offline(
         self, engine: OfflineEngine, algorithm: str = "rvaq"

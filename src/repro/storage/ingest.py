@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.core.scoring import PaperScoring, ScoringScheme
-from repro.core.scheduler import MultiQueryScheduler
+from repro.core.scheduler import run_fleet
 from repro.detectors.cost import CostMeter
 from repro.detectors.retry import ensure_finite, invoke_with_retry
 from repro.detectors.zoo import ModelZoo
@@ -173,7 +173,7 @@ def ingest_video(
     ]
     sequences: list[IntervalSet] = []
     if queries:
-        run = MultiQueryScheduler(zoo, queries, config).run(video)
+        run = run_fleet(zoo, video, config, queries)
         sequences = [result.sequences for result in run.results.values()]
 
     return VideoIngest(
@@ -310,8 +310,7 @@ def ingest_many(
 
     Ingestion is embarrassingly parallel across videos — each video's
     metadata depends only on that video and the (deterministic) models —
-    so this reuses the executor pattern of
-    :meth:`repro.core.engine.OnlineEngine.run_many`:
+    so videos fan out over a worker pool:
 
     * ``"serial"`` — one video after another on the shared zoo;
     * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`

@@ -14,8 +14,8 @@ import json
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.session import StreamSession
 from repro.core.svaq import SVAQ
@@ -107,7 +107,7 @@ class TestFaultyCheckpointEquivalence:
     @pytest.mark.parametrize("split_at", [5, 28])
     def test_compound_split_is_bit_identical(self, split_at):
         config = armed_config("hold_last_estimate")
-        full = CompoundOnline(fresh_zoo(), COMPOUND, config).run(VIDEO)
+        full = OnlineEngine(fresh_zoo(), config).run(COMPOUND, VIDEO)
         zoo = fresh_zoo()
         split = split_run(
             lambda: StreamSession.for_compound(zoo, COMPOUND, VIDEO, config),

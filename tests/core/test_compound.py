@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
 from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
@@ -40,7 +39,7 @@ class TestDisjunction:
         compound = CompoundQuery.disjunction(
             [Query(action="jumping"), Query(action="waving")]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo).run(compound, VIDEO)
         geometry = VIDEO.meta.geometry
         truth = geometry.frame_set_to_clips(
             VIDEO.truth.action_frames("jumping").union(
@@ -54,7 +53,7 @@ class TestDisjunction:
             [Query(action="jumping"), Query(action="waving")]
         )
         config = OnlineConfig()
-        union = CompoundOnline(zoo, compound, config).run(VIDEO).sequences
+        union = OnlineEngine(zoo, config).run(compound, VIDEO).sequences
         for action in ("jumping", "waving"):
             single = SVAQD(zoo, Query(action=action), config).run(VIDEO)
             covered = single.sequences.intersect(union)
@@ -68,7 +67,7 @@ class TestConjunctionEquivalence:
         query = Query(objects=["person"], action="jumping")
         compound = CompoundQuery.conjunction([query])
         config = OnlineConfig()
-        compound_result = CompoundOnline(zoo, compound, config).run(VIDEO)
+        compound_result = OnlineEngine(zoo, config).run(compound, VIDEO)
         direct = SVAQD(zoo, query, config).run(VIDEO)
         assert compound_result.sequences.iou(direct.sequences) >= 0.9
 
@@ -76,7 +75,7 @@ class TestConjunctionEquivalence:
         compound = CompoundQuery.conjunction(
             [Query(action="jumping"), Query(action="waving")]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo).run(compound, VIDEO)
         config = OnlineConfig()
         for action in ("jumping", "waving"):
             single = SVAQD(zoo, Query(action=action), config).run(VIDEO)
@@ -91,7 +90,7 @@ class TestMechanics:
         compound = CompoundQuery.conjunction(
             [Query(action="jumping"), Query(action="waving")]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo).run(compound, VIDEO)
         short_circuited = [
             ev for ev in result.evaluations if ev.clause_values[1] is None
         ]
@@ -107,9 +106,7 @@ class TestMechanics:
                 Query(objects=["person"], action="waving"),
             ]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(
-            VIDEO, short_circuit=False
-        )
+        result = OnlineEngine(zoo).run(compound, VIDEO, short_circuit=False)
         for ev in result.evaluations:
             # person appears once in the outcome map despite two literals
             assert list(ev.outcomes).count("person") == 1
@@ -118,9 +115,9 @@ class TestMechanics:
         compound = CompoundQuery.disjunction(
             [Query(action="jumping"), Query(action="waving")]
         )
-        result = CompoundOnline(
-            zoo, compound, OnlineConfig().with_p0(1e-2), dynamic=False
-        ).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig().with_p0(1e-2)).run(
+            compound, VIDEO, "svaq"
+        )
         assert result.final_rates == {}
         assert result.evaluations
 
@@ -129,7 +126,7 @@ class TestMechanics:
             [Query(action="person"), Query(objects=["person"])]
         )
         with pytest.raises(QueryError):
-            CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+            OnlineEngine(zoo).run(compound, VIDEO)
 
 
 class TestSqlIntegration:
@@ -143,5 +140,5 @@ class TestSqlIntegration:
         assert compiled.compound is not None
         result = compiled.execute_online(OnlineEngine(zoo=zoo), VIDEO)
         assert result.video_id == VIDEO.video_id
-        direct = OnlineEngine(zoo=zoo).run_compound(compiled.compound, VIDEO)
+        direct = OnlineEngine(zoo=zoo).run(compiled.compound, VIDEO)
         assert result.sequences == direct.sequences

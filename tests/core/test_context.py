@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.context import ExecutionContext
 from repro.core.query import CompoundQuery, Query
 from repro.core.svaq import SVAQ
@@ -53,7 +53,7 @@ class TestResultStats:
         compound = CompoundQuery.disjunction(
             [Query(action="washing dishes"), Query(objects=["faucet"])]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo).run(compound, VIDEO)
         assert result.stats is not None
         assert result.stats.clips_processed == VIDEO.meta.n_clips
         assert result.stats.model_invocations > 0

@@ -7,8 +7,8 @@ import pickle
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.context import ExecutionContext, ExecutionStats
 from repro.core.dynamics import QuotaManager
 from repro.core.indicators import PredicateOutcome
@@ -197,8 +197,8 @@ class TestCompoundDegradation:
         )
         zoo = faulty_zoo(default_zoo(seed=2), DEAD_FAUCET)
         context = ExecutionContext()
-        result = CompoundOnline(zoo, compound, config).run(
-            VIDEO, context=context
+        result = OnlineEngine(zoo, config).run(
+            compound, VIDEO, context=context
         )
         assert context.snapshot().model_giveups > 0
         assert result.degraded_clips

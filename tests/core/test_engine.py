@@ -25,53 +25,6 @@ class TestOnlineEngine:
         with pytest.raises(ConfigurationError):
             engine.run(QUERY, kitchen_video, algorithm="magic")
 
-    def test_run_many(self, zoo):
-        videos = [
-            make_kitchen_video(seed=s, video_id=f"m{s}") for s in (71, 72)
-        ]
-        engine = OnlineEngine(zoo=zoo)
-        results = engine.run_many(QUERY, videos)
-        assert set(results) == {"m71", "m72"}
-
-    def test_run_many_parallel_matches_serial(self, zoo):
-        videos = [
-            make_kitchen_video(seed=s, video_id=f"p{s}") for s in (81, 82, 83)
-        ]
-        engine = OnlineEngine(zoo=zoo)
-        serial = engine.run_many(QUERY, videos, executor="serial")
-        threaded = engine.run_many(
-            QUERY, videos, executor="thread", max_workers=3
-        )
-        assert list(threaded) == list(serial)  # insertion order preserved
-        for video_id, result in serial.items():
-            assert threaded[video_id].sequences == result.sequences
-            assert threaded[video_id].final_rates == pytest.approx(
-                result.final_rates
-            )
-
-    def test_run_many_parallel_shared_context_totals(self, zoo):
-        from repro.core.context import ExecutionContext
-
-        videos = [
-            make_kitchen_video(seed=s, video_id=f"c{s}") for s in (84, 85)
-        ]
-        engine = OnlineEngine(zoo=zoo)
-        serial_ctx, thread_ctx = ExecutionContext(), ExecutionContext()
-        engine.run_many(QUERY, videos, context=serial_ctx)
-        engine.run_many(
-            QUERY, videos, executor="thread", context=thread_ctx
-        )
-        assert thread_ctx.clips_processed == serial_ctx.clips_processed
-        assert (
-            thread_ctx.snapshot().model_invocations
-            == serial_ctx.snapshot().model_invocations
-        )
-
-    def test_run_many_unknown_executor(self, zoo, kitchen_video):
-        engine = OnlineEngine(zoo=zoo)
-        with pytest.raises(ConfigurationError):
-            engine.run_many(QUERY, [kitchen_video], executor="fork")
-
 
 class TestOfflineEngine:
     def test_topk_algorithms_agree_on_set(self, kitchen_engine):

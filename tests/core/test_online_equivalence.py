@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.config import OnlineConfig
 from repro.core.query import CompoundQuery, Query
-from repro.core.scheduler import FleetRun, MultiQueryScheduler, QuerySpec
+from repro.core.scheduler import FleetRun, QuerySpec, run_fleet
 from repro.core.session import StreamSession
 from repro.detectors.zoo import default_zoo
 from repro.video.model import VideoGeometry
@@ -174,7 +174,7 @@ class TestSharedCacheEquivalence:
             references.append(session.finish())
 
         shared_zoo = default_zoo(seed=3)
-        run = MultiQueryScheduler(shared_zoo, queries).run(video)
+        run = run_fleet(shared_zoo, video, None, queries)
 
         total_logical = {"object": 0, "action": 0}
         for i, reference in enumerate(references):
@@ -202,16 +202,15 @@ class TestSharedCacheEquivalence:
 class TestSharedRateEquivalence:
     """SVAQD fleets with duplicate queries share one rate series per
     (query shape, registration position) group; everything observable must
-    still match both the sharing-off fleet and solo serial runs exactly —
-    the bucket-skip counter is the only stat the topology may move (it
-    lives on the rate book under sharing)."""
+    still match standalone sessions and solo serial runs exactly — the
+    bucket-skip counter is the only stat the topology may move (it lives
+    on the rate book under sharing)."""
 
     def _fleet_queries(self, query):
         dup = Query(objects=query.objects[:1], action="acting")
         return [dup, query, dup, Query(objects=query.objects, action="acting"), dup]
 
-    def _run_fleet(self, queries, video, *, share: bool, vector: bool = False):
-        config = OnlineConfig(share_rate_estimates=share)
+    def _run_fleet(self, queries, video, *, vector: bool = False):
         zoo = default_zoo(seed=3)
         if vector:
             import repro.core.ratebook as ratebook_mod
@@ -219,21 +218,22 @@ class TestSharedRateEquivalence:
             original = ratebook_mod._VECTOR_FLUSH_MIN_ROWS
             ratebook_mod._VECTOR_FLUSH_MIN_ROWS = 0
             try:
-                run = MultiQueryScheduler(zoo, queries, config).run(video)
+                run = run_fleet(zoo, video, None, queries)
             finally:
                 ratebook_mod._VECTOR_FLUSH_MIN_ROWS = original
         else:
-            run = MultiQueryScheduler(zoo, queries, config).run(video)
+            run = run_fleet(zoo, video, None, queries)
         return run, zoo
 
     def _assert_runs_identical(
-        self, shared_run, unshared_run, n, *, evaluations: bool = True
+        self, shared_run, reference_run, n, *, evaluations: bool = True,
+        cache_fields: bool = True,
     ):
         # Resumed fleets do not replay pre-checkpoint per-clip
         # evaluations (those were delivered before the interrupt), so
         # checkpoint tests compare sequences/rates/stats only.
         for i in range(n):
-            result, reference = shared_run[f"q{i}"], unshared_run[f"q{i}"]
+            result, reference = shared_run[f"q{i}"], reference_run[f"q{i}"]
             assert result.sequences == reference.sequences
             if evaluations:
                 assert result.evaluations == reference.evaluations
@@ -243,29 +243,47 @@ class TestSharedRateEquivalence:
             for stats in (result_stats, reference_stats):
                 stats.pop("stage_wall_s")
                 stats.pop("refresh_skipped")
+                if not cache_fields:
+                    for key in (
+                        "detector_cache_hits", "recognizer_cache_hits",
+                        "cache_hit_rate",
+                    ):
+                        stats.pop(key)
             assert result_stats == reference_stats
 
     @pytest.mark.parametrize("vector", [False, True])
-    def test_sharing_fleet_matches_unshared_fleet(self, seed, vector):
-        """Both the scalar and (forced) vectorised flush paths."""
+    def test_sharing_fleet_matches_standalone_sessions(self, seed, vector):
+        """Both the scalar and (forced) vectorised flush paths, against
+        one private-estimator session per query: the only differences a
+        shared fleet may show are its cache hits (the standalone sessions
+        each own a cache) and where bucket skips are counted."""
         video, query = random_video(seed, GEOMETRIES["paper"])
         queries = self._fleet_queries(query)
         shared_run, shared_zoo = self._run_fleet(
-            queries, video, share=True, vector=vector
+            queries, video, vector=vector
         )
-        unshared_run, unshared_zoo = self._run_fleet(
-            queries, video, share=False
+        solo_zoo = default_zoo(seed=3)
+        standalone = {}
+        for i, q in enumerate(queries):
+            session = StreamSession.for_query(
+                solo_zoo, q, video, OnlineConfig(), dynamic=True
+            )
+            for clip in ClipStream(video.meta):
+                session.process(clip)
+            standalone[f"q{i}"] = session.finish()
+        self._assert_runs_identical(
+            shared_run, standalone, len(queries), cache_fields=False
         )
-        self._assert_runs_identical(shared_run, unshared_run, len(queries))
         for model in (shared_zoo.detector.name, shared_zoo.recognizer.name):
-            assert shared_zoo.cost_meter.units(model) == (
-                unshared_zoo.cost_meter.units(model)
+            assert solo_zoo.cost_meter.units(model) == (
+                shared_zoo.cost_meter.units(model)
+                + shared_zoo.cost_meter.cached_units(model)
             )
 
     def test_sharing_fleet_matches_solo_serial_runs(self, seed):
         video, query = random_video(seed, GEOMETRIES["paper"])
         queries = self._fleet_queries(query)
-        run, _ = self._run_fleet(queries, video, share=True)
+        run, _ = self._run_fleet(queries, video)
         serial_config = OnlineConfig(cache_detections=False)
         for i, q in enumerate(queries):
             session = StreamSession.for_query(
@@ -288,7 +306,7 @@ class TestSharedRateEquivalence:
         specs = [QuerySpec(n, dup, algorithm="svaqd") for n in ("a", "b", "c")]
         half = max(1, video.meta.n_clips // 2)
 
-        fleet = MultiQueryScheduler(default_zoo(seed=3), specs).start(video)
+        fleet = FleetRun(default_zoo(seed=3), video, queries=specs)
         clips = ClipStream(video.meta)
         for _ in range(half):
             fleet.advance([clips.next()])
@@ -323,9 +341,9 @@ class TestSharedRateEquivalence:
         uninterrupted sharing run."""
         video, query = random_video(seed, GEOMETRIES["paper"])
         queries = self._fleet_queries(query)
-        reference_run, _ = self._run_fleet(queries, video, share=True)
+        reference_run, _ = self._run_fleet(queries, video)
 
-        fleet = MultiQueryScheduler(default_zoo(seed=3), queries).start(video)
+        fleet = FleetRun(default_zoo(seed=3), video, queries=queries)
         clips = ClipStream(video.meta)
         half = max(1, video.meta.n_clips // 2)
         for _ in range(half):
@@ -349,6 +367,68 @@ class TestSharedRateEquivalence:
             resumed.finish(), reference_run, len(queries),
             evaluations=False,
         )
+
+@pytest.mark.parametrize(
+    ("seed", "p0", "interrupt_at"), [(0, 0.01, 4), (0, 0.1, 7), (0, 0.1, 45)]
+)
+class TestRestoredSkipMemo:
+    """A restored rate group re-admits on a fresh manager (quotas and skip
+    memo for the *prior* ``p0``), then reloads the checkpointed rates.
+    These restore points put a checkpointed rate outside the prior's
+    bucket and move it back inside on the very next clip — the case where
+    a book memo still describing the prior would skip the refresh and
+    keep the checkpointed bucket's quotas.  Quotas must match the
+    uninterrupted run clip for clip, and the results bit for bit."""
+
+    def test_resumed_quotas_track_the_uninterrupted_run(
+        self, seed, p0, interrupt_at
+    ):
+        video, query = random_video(seed, GEOMETRIES["paper"])
+        config = OnlineConfig().with_p0(p0)
+        specs = [QuerySpec("owner", query), QuerySpec("reader", query)]
+        clips = list(ClipStream(video.meta))
+
+        reference = FleetRun(default_zoo(seed=3), video, config, specs)
+        quotas = []
+        for clip in clips:
+            if clip.clip_id == interrupt_at:
+                state = json.loads(json.dumps(reference.state_dict()))
+                saved_rates = reference.session("owner").policy.rates()
+            reference.advance([clip])
+            quotas.append(reference.session("owner").quotas())
+        reference_run = reference.finish()
+
+        resumed = FleetRun(default_zoo(seed=3), video, config)
+        resumed.load_state_dict(state)
+        assert state["rate_book"]["groups"] == [["owner", "reader"]]
+        # The restore point really is the stale-memo case for some label.
+        manager = resumed.session("owner").policy.manager
+        resumed.advance([clips[interrupt_at]])
+        next_rates = resumed.session("owner").policy.rates()
+        assert any(
+            manager.tracker(label).table.bucket_of(next_rates[label])
+            == manager.tracker(label).table.bucket_of(p0)
+            != manager.tracker(label).table.bucket_of(saved_rates[label])
+            for label in next_rates
+        )
+        for name in ("owner", "reader"):
+            assert resumed.session(name).quotas() == quotas[interrupt_at]
+        for clip in clips[interrupt_at + 1:]:
+            resumed.advance([clip])
+            for name in ("owner", "reader"):
+                assert resumed.session(name).quotas() == quotas[clip.clip_id]
+        run = resumed.finish()
+        for name in ("owner", "reader"):
+            assert run[name].sequences == reference_run[name].sequences
+            assert dict(run[name].final_rates) == dict(
+                reference_run[name].final_rates
+            )
+            resumed_stats = run[name].stats.as_dict()
+            reference_stats = reference_run[name].stats.as_dict()
+            resumed_stats.pop("stage_wall_s")
+            reference_stats.pop("stage_wall_s")
+            assert resumed_stats == reference_stats
+
 
 @pytest.mark.parametrize("seed", [13, 29, 43])
 class TestFleetMigrationEquivalence:
@@ -383,7 +463,7 @@ class TestFleetMigrationEquivalence:
         """Advance to ``interrupt_at``, checkpoint through JSON, resume in
         a fresh empty fleet on a fresh zoo; returns (run, zoo_a, zoo_b)."""
         zoo_a = default_zoo(seed=3)
-        fleet = MultiQueryScheduler(zoo_a, specs, config).start(video)
+        fleet = FleetRun(zoo_a, video, config, specs)
         clips = ClipStream(video.meta)
         for _ in range(interrupt_at):
             fleet.advance([clips.next()])
@@ -409,9 +489,7 @@ class TestFleetMigrationEquivalence:
         )
 
         reference_zoo = default_zoo(seed=3)
-        reference = MultiQueryScheduler(
-            reference_zoo, specs, config
-        ).run(video)
+        reference = run_fleet(reference_zoo, video, config, specs)
         run, zoo_a, zoo_b = self._run_split(
             video, specs, config, interrupt_at
         )
@@ -444,9 +522,7 @@ class TestFleetMigrationEquivalence:
             interrupt_at -= 1  # force a mid-chunk cut
 
         reference_zoo = default_zoo(seed=3)
-        reference = MultiQueryScheduler(
-            reference_zoo, specs, config
-        ).run(video)
+        reference = run_fleet(reference_zoo, video, config, specs)
         run, zoo_a, zoo_b = self._run_split(
             video, specs, config, interrupt_at
         )

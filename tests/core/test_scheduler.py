@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.config import OnlineConfig
@@ -10,9 +12,9 @@ from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import (
     FleetRun,
-    MultiQueryScheduler,
     QuerySpec,
     as_specs,
+    run_fleet,
     spec_from_dict,
     spec_to_dict,
 )
@@ -52,6 +54,23 @@ class TestAsSpecs:
         specs = as_specs([QUERIES[0], QuerySpec("named", QUERIES[1])])
         assert [s.name for s in specs] == ["q0", "named"]
 
+    def test_bare_queries_take_lowest_free_name(self):
+        """Auto-names skip the list's explicit names, wherever they sit."""
+        specs = as_specs([QuerySpec("q1", QUERIES[0]), QUERIES[1]])
+        assert [s.name for s in specs] == ["q1", "q0"]
+        specs = as_specs(
+            [QUERIES[0], QuerySpec("q0", QUERIES[1]), QUERIES[2]]
+        )
+        assert [s.name for s in specs] == ["q1", "q0", "q2"]
+
+    def test_fleet_names_bare_queries_by_the_same_rule(self):
+        mixed = [QUERIES[0], QuerySpec("q0", QUERIES[1]), QUERIES[2]]
+        fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=mixed)
+        assert fleet.live == tuple(s.name for s in as_specs(mixed))
+        fleet.register(QuerySpec("q3", QUERIES[0]))
+        assert fleet.next_auto_name() == "q4"
+        assert fleet.register(QUERIES[1]) == "q4"
+
     def test_rejects_duplicates_empties_and_junk(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
             as_specs([QuerySpec("a", QUERIES[0]), QuerySpec("a", QUERIES[1])])
@@ -68,10 +87,10 @@ class TestAsSpecs:
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
     def test_results_match_solo_runs(self, algorithm):
-        scheduler = MultiQueryScheduler(
-            default_zoo(seed=3), as_specs(QUERIES, algorithm=algorithm)
+        run = run_fleet(
+            default_zoo(seed=3), VIDEO, None,
+            as_specs(QUERIES, algorithm=algorithm),
         )
-        run = scheduler.run(VIDEO)
         solo = solo_results(algorithm=algorithm)
         assert run.video_id == VIDEO.video_id
         for name, reference in zip(["q0", "q1", "q2"], solo):
@@ -81,7 +100,7 @@ class TestSchedulerEquivalence:
             assert result.final_rates == pytest.approx(reference.final_rates)
 
     def test_per_query_stats_match_solo_modulo_cache_fields(self):
-        run = MultiQueryScheduler(default_zoo(seed=3), QUERIES).run(VIDEO)
+        run = run_fleet(default_zoo(seed=3), VIDEO, None, QUERIES)
         for result, reference in zip(
             (run[f"q{i}"] for i in range(3)), solo_results()
         ):
@@ -107,7 +126,7 @@ class TestSchedulerEquivalence:
             serial_engine.run(query, VIDEO, "svaqd")
 
         shared_zoo = default_zoo(seed=3)
-        MultiQueryScheduler(shared_zoo, QUERIES).run(VIDEO)
+        run_fleet(shared_zoo, VIDEO, None, QUERIES)
         for model in (serial_zoo.detector.name, serial_zoo.recognizer.name):
             assert serial_zoo.cost_meter.units(model) == (
                 shared_zoo.cost_meter.units(model)
@@ -121,13 +140,13 @@ class TestSchedulerEquivalence:
         """The rate book's fold/refresh wall time lands on the fleet's
         shared cost meter at finish — no per-query context owns it."""
         zoo = default_zoo(seed=3)
-        MultiQueryScheduler(zoo, QUERIES).run(VIDEO)
+        run_fleet(zoo, VIDEO, None, QUERIES)
         breakdown = zoo.cost_meter.stage_breakdown()
         assert breakdown.get("estimator", 0.0) > 0.0
         assert "refresh" in breakdown
 
     def test_later_sessions_record_cache_hits(self):
-        run = MultiQueryScheduler(default_zoo(seed=3), QUERIES).run(VIDEO)
+        run = run_fleet(default_zoo(seed=3), VIDEO, None, QUERIES)
         # q0 evaluates faucet + washing dishes first on every clip, so it
         # pays fresh; q1's washing-dishes and q2's everything overlap.
         assert run["q0"].stats.cache_hits == 0
@@ -143,7 +162,7 @@ class TestSchedulerEquivalence:
             QuerySpec("dynamic", QUERIES[1], algorithm="svaqd"),
             QuerySpec("cnf", compound, algorithm="svaqd"),
         ]
-        run = MultiQueryScheduler(default_zoo(seed=3), specs).run(VIDEO)
+        run = run_fleet(default_zoo(seed=3), VIDEO, None, specs)
         engine = OnlineEngine(zoo=default_zoo(seed=3))
         assert run["static"].sequences == engine.run(
             QUERIES[0], VIDEO, "svaq"
@@ -151,18 +170,45 @@ class TestSchedulerEquivalence:
         assert run["dynamic"].sequences == engine.run(
             QUERIES[1], VIDEO, "svaqd"
         ).sequences
-        assert run["cnf"].sequences == engine.run_compound(
+        assert run["cnf"].sequences == engine.run(
             compound, VIDEO, "svaqd"
         ).sequences
 
     def test_merged_context_totals_private_sessions(self):
         context = ExecutionContext()
-        run = MultiQueryScheduler(default_zoo(seed=3), QUERIES).run(
-            VIDEO, context=context
+        run = run_fleet(
+            default_zoo(seed=3), VIDEO, None, QUERIES, context=context
         )
         total = sum(run[f"q{i}"].stats.model_invocations for i in range(3))
         assert context.snapshot().model_invocations == total
         assert context.clips_processed == 3 * VIDEO.meta.n_clips
+
+    def test_context_carries_the_rate_book_counters(self):
+        """Bucket skips and estimator/refresh time the shared rate book
+        accrues reach the caller's context, next to the members' own."""
+        zoo = default_zoo(seed=3)
+        fleet = FleetRun(zoo, VIDEO, queries=QUERIES)
+        for clip in ClipStream(VIDEO.meta):
+            fleet.advance([clip])
+        context = ExecutionContext()
+        run = fleet.finish(context=context)
+        book = fleet.rate_book_stats()
+        members = sum(run[f"q{i}"].stats.refresh_skipped for i in range(3))
+        assert book["refresh_skipped"] > 0
+        assert context.refresh_skipped == members + book["refresh_skipped"]
+        assert {"estimator", "refresh"} <= set(context.stage_wall_s())
+
+    def test_repeated_finish_merges_once(self):
+        fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=QUERIES[:1])
+        for clip in ClipStream(VIDEO.meta):
+            fleet.advance([clip])
+        context = ExecutionContext()
+        first = fleet.finish(context=context)
+        merged = context.snapshot()
+        assert merged.clips_processed == VIDEO.meta.n_clips
+        again = fleet.finish(context=context)
+        assert again.results == first.results
+        assert context.snapshot() == merged
 
 
 class TestFleetMembership:
@@ -235,6 +281,30 @@ class TestFleetMembership:
         # Auto-naming skips both live and retired names.
         assert fleet.register(QUERIES[2]) == "q2"
 
+    def test_names_stay_reserved_across_repeated_migrations(self):
+        fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=QUERIES[:2])
+        fleet.advance([ClipStream(VIDEO.meta).next()])
+        fleet.cancel("q0")
+        for _ in range(2):
+            state = json.loads(json.dumps(fleet.state_dict()))
+            assert state["retired"] == ["q0"]
+            fleet = FleetRun(default_zoo(seed=3), VIDEO).load_state_dict(state)
+        with pytest.raises(ConfigurationError, match="retired"):
+            fleet.register(QuerySpec("q0", QUERIES[0]))
+        assert fleet.register(QUERIES[2]) == "q2"
+
+    def test_empty_fleet_accepts_live_registration(self):
+        fleet = FleetRun(default_zoo(seed=3), VIDEO)
+        assert fleet.live == ()
+        fleet.register(QUERIES[0])
+        for clip in ClipStream(VIDEO.meta):
+            fleet.advance([clip])
+        run = fleet.finish()
+        reference = OnlineEngine(zoo=default_zoo(seed=3)).run_queries(
+            QUERIES[:1], VIDEO
+        )
+        assert run["q0"].sequences == reference["q0"].sequences
+
     def test_advance_rejects_gaps_and_replays(self):
         fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=[QUERIES[0]])
         stream = ClipStream(VIDEO.meta)
@@ -274,10 +344,11 @@ class TestFleetMembership:
         with pytest.raises(ConfigurationError, match="holds video"):
             mismatched.load_state_dict(state)
 
-    def test_scheduler_run_with_bounded_stream_still_works(self):
-        scheduler = MultiQueryScheduler(default_zoo(seed=3), QUERIES[:1])
+    def test_run_fleet_with_bounded_stream(self):
         stream = ClipStream(VIDEO.meta, start_clip=3, stop_clip=20)
-        run = scheduler.run(VIDEO, stream=stream)
+        run = run_fleet(
+            default_zoo(seed=3), VIDEO, None, QUERIES[:1], stream=stream
+        )
         reference = self._suffix_reference_bounded(QUERIES[0], 3, 20)
         assert run["q0"].sequences == reference.sequences
 
@@ -317,43 +388,3 @@ class TestEngineFacade:
             (run[f"q{i}"] for i in range(3)), solo_results()
         ):
             assert result.sequences == reference.sequences
-
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_run_queries_many(self, executor):
-        videos = [
-            VIDEO,
-            make_kitchen_video(seed=42, duration_s=180.0, video_id="vid-b"),
-        ]
-        engine = OnlineEngine(zoo=default_zoo(seed=3))
-        context = ExecutionContext()
-        runs = engine.run_queries_many(
-            QUERIES, videos, executor=executor, context=context
-        )
-        assert list(runs) == ["schedvid", "vid-b"]
-        reference = OnlineEngine(zoo=default_zoo(seed=3))
-        for video in videos:
-            for i, query in enumerate(QUERIES):
-                assert runs[video.video_id][f"q{i}"].sequences == (
-                    reference.run(query, video, "svaqd").sequences
-                )
-        assert context.clips_processed == sum(
-            3 * v.meta.n_clips for v in videos
-        )
-
-    def test_start_queries_returns_a_steppable_fleet(self):
-        engine = OnlineEngine(zoo=default_zoo(seed=3))
-        fleet = engine.start_queries([], VIDEO)
-        assert fleet.live == ()
-        fleet.register(QUERIES[0])
-        for clip in ClipStream(VIDEO.meta):
-            fleet.advance([clip])
-        run = fleet.finish()
-        reference = OnlineEngine(zoo=default_zoo(seed=3)).run_queries(
-            QUERIES[:1], VIDEO
-        )
-        assert run["q0"].sequences == reference["q0"].sequences
-
-    def test_run_queries_many_rejects_unknown_executor(self):
-        engine = OnlineEngine(zoo=default_zoo(seed=3))
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            engine.run_queries_many(QUERIES, [VIDEO], executor="process")

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.session import (
     SESSION_CLOSED,
@@ -129,7 +129,7 @@ class TestCompoundCheckpointEquivalence:
 
     @pytest.mark.parametrize("split_at", [3, 30])
     def test_resumed_compound_is_bit_identical(self, zoo, split_at):
-        full = CompoundOnline(zoo, self.COMPOUND, OnlineConfig()).run(VIDEO)
+        full = OnlineEngine(zoo).run(self.COMPOUND, VIDEO)
         stream = ClipStream(VIDEO.meta)
         first = StreamSession.for_compound(
             zoo, self.COMPOUND, VIDEO, OnlineConfig()

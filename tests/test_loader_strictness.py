@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
-from repro.core.scheduler import FLEET_STATE_VERSION, FleetRun, MultiQueryScheduler
+from repro.core.scheduler import FLEET_STATE_VERSION, FleetRun
 from repro.core.session import CHECKPOINT_VERSION, SvaqdSession
 from repro.detectors.zoo import default_zoo
 from repro.errors import ConfigurationError, ReproError, StorageError
@@ -54,7 +54,7 @@ def load_session(state: dict) -> None:
 
 def fleet_state() -> dict:
     queries = [QUERY, Query(objects=["person"], action="washing dishes")]
-    fleet = MultiQueryScheduler(default_zoo(seed=3), queries).start(VIDEO)
+    fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=queries)
     stream = ClipStream(VIDEO.meta)
     for _ in range(8):
         fleet.advance([stream.next()])
